@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -57,6 +58,11 @@ _INVARIANT_ERRORS = (InternalConsistencyError,)
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # an angle spec such as -1,1,1,3 is a value, not an option
+        self._negative_number_matcher = re.compile(r"^-\d")
+
     def error(self, message):  # argparse defaults to exit code 2
         self.print_usage(sys.stderr)
         self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
@@ -147,7 +153,6 @@ def build_parser() -> _Parser:
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--decay", type=_fraction, default=Fraction(1, 2))
     p.add_argument("--penalty", type=_fraction, default=Fraction(1))
-    p.add_argument("--workers", type=int, default=1)
 
     p = add_parser("verify", "run an invariant suite")
     p.add_argument(
@@ -156,7 +161,6 @@ def build_parser() -> _Parser:
         default="all",
     )
     p.add_argument("--profile", help="JSON distance-profile file overriding the computed one")
-    p.add_argument("--workers", type=int, default=1)
 
     return parser
 
@@ -168,15 +172,10 @@ class RunConfig:
     gamma_spec: str
     psi_spec: str
     horizon: int
-    output_format: str
-    #: deterministic sampling descriptor (reports are reproducible from it)
-    seed_plan: str
 
     @classmethod
     def from_args(cls, args) -> "RunConfig":
-        trials = getattr(args, "trials", None)
-        plan = "segments=all-lengths" if trials is None else f"segments=trials:{trials}"
-        return cls(args.gamma, args.psi, args.horizon, args.fmt, plan)
+        return cls(args.gamma, args.psi, args.horizon)
 
     @property
     def is_approx(self) -> bool:
@@ -385,7 +384,7 @@ def cmd_energy(args):
 def cmd_ground_state(args):
     profile = distance_profile(_exact_params(args), max(args.horizon, args.length))
     spec = build_interaction(profile, args.decay, args.penalty)
-    result = ground_state_search(args.length, spec, workers=args.workers)
+    result = ground_state_search(args.length, spec)
     words = sorted(w.symbols for w in result.argmin)
     results = {
         "length": args.length,
@@ -413,7 +412,7 @@ def cmd_verify(args):
     if args.profile:
         with open(args.profile, encoding="utf-8") as fh:
             profile = DistanceProfile.from_json(fh.read())
-    suites = run_suites(names, params, profile=profile, workers=args.workers)
+    suites = run_suites(names, params, profile=profile)
     all_passed = all(c.passed for checks in suites.values() for c in checks)
     results = {
         "passed": all_passed,

@@ -8,19 +8,23 @@ rationals throughout; ground-state comparisons never involve a tolerance.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+
+import numpy as np
 
 from .errors import InsufficientProfileError, InternalConsistencyError
 from .order_analysis import DistanceProfile, ensure_horizon
-from .characterization import is_locally_legal
+from .characterization import enumerate_legal
 from .sturmian_gen import Word
 
 #: exhaustive scans refuse beyond this length; use the pruned legal-word
 #: enumeration in `characterization` for longer windows
 EXHAUSTIVE_CAP = 24
+
+#: configurations per vectorized block of the exhaustive scan; bounds its
+#: working memory independently of the length
+SCAN_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -137,49 +141,19 @@ class GroundStateResult:
     states_scanned: int
 
 
-def _scan_chunk(args) -> tuple[Optional[int], list[int], list[int]]:
-    """Scan configurations [lo, hi): integer energies, argmin and legal sets.
-
-    Energies are integers after scaling by the common denominator, so the
-    minimum is exact.  Legality goes through the word-level scanner, an
-    independent route from the energy accumulation.
-    """
-    length, weights, wbeta, run_len, profile, lo, hi = args
-    run_window = (1 << (length - run_len + 1)) - 1 if length >= run_len else 0
-    best: Optional[int] = None
-    argmin: list[int] = []
-    legal: list[int] = []
-    for x in range(lo, hi):
-        e = 0
-        for j, wj in weights:
-            e += (x & (x >> j)).bit_count() * wj
-        if run_window:
-            acc = x
-            for s in range(1, run_len):
-                acc |= x >> s
-            e += (~acc & run_window).bit_count() * wbeta
-        if best is None or e < best:
-            best = e
-            argmin = [x]
-        elif e == best:
-            argmin.append(x)
-        if is_locally_legal(_config_word(x, length), profile).legal:
-            legal.append(x)
-    return best, argmin, legal
-
-
-def _config_word(x: int, length: int) -> Word:
-    return Word("".join("1" if (x >> k) & 1 else "0" for k in range(length)))
-
-
-def ground_state_search(
-    length: int, spec: InteractionSpec, workers: int = 1
-) -> GroundStateResult:
+def ground_state_search(length: int, spec: InteractionSpec) -> GroundStateResult:
     """Exhaustive minimum over all 2**length free-boundary configurations.
 
-    Asserts the scan's two independent routes agree: the zero-energy set
-    (couplings route) must equal the locally-legal set (pattern route),
-    and the minimum must be exactly zero.
+    Every energy term is nonnegative and every coupling and the penalty is
+    strictly positive, so the minimum is exactly zero iff some configuration
+    has no positive term, and the argmin is that zero set.  A numpy bitmask
+    scan (bit k of x is site k) finds it in blocks of SCAN_BLOCK: x has a
+    positive term iff x & (x >> j) != 0 for a forbidden j < length, or the
+    complement of x | x>>1 | ... | x>>(zero_run_len-1) is nonzero at some
+    run start inside the window.  Two independent certifications follow:
+    the zero set must equal the depth-first legal words of
+    `enumerate_legal(length, length)` (pattern route), and each minimizer's
+    exact `energy_open` total must be 0.
     """
     if not 1 <= length <= EXHAUSTIVE_CAP:
         raise ValueError(
@@ -190,40 +164,37 @@ def ground_state_search(
         raise InsufficientProfileError(
             f"profile horizon {spec.profile.horizon} < {length - 1}"
         )
-    lam, beta = spec.decay_base, spec.zero_run_penalty
-    # Scale energies by a common denominator: integer arithmetic only.
-    denom = lam.denominator ** max(length - 1, 1) * beta.denominator
-    weights = []
-    for j in sorted(spec.profile.forbidden):
-        if j >= length:
-            break
-        weights.append((j, lam.numerator**j * lam.denominator ** (length - 1 - j) * beta.denominator))
-    wbeta = beta.numerator * lam.denominator ** max(length - 1, 1)
+    distances = [j for j in sorted(spec.profile.forbidden) if j < length]
+    run_len = spec.zero_run_len
+    run_window = (1 << (length - run_len + 1)) - 1 if length >= run_len else 0
     total = 1 << length
-    if workers <= 1:
-        chunks = [(length, weights, wbeta, spec.zero_run_len, spec.profile, 0, total)]
-        results = [_scan_chunk(chunks[0])]
-    else:
-        bounds = [total * k // workers for k in range(workers + 1)]
-        chunks = [
-            (length, weights, wbeta, spec.zero_run_len, spec.profile, lo, hi)
-            for lo, hi in zip(bounds, bounds[1:])
-            if lo < hi
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_scan_chunk, chunks))
-    best = min(b for b, _, _ in results if b is not None)
-    argmin = sorted(x for b, xs, _ in results if b == best for x in xs)
-    legal = sorted(x for _, _, xs in results for x in xs)
-    min_energy = Fraction(best, denom)
-    if min_energy != 0:
-        raise InternalConsistencyError(f"minimum energy {min_energy} is not zero")
-    if argmin != legal:
+    zero: list[int] = []
+    for lo in range(0, total, SCAN_BLOCK):
+        x = np.arange(lo, min(lo + SCAN_BLOCK, total), dtype=np.uint32)
+        positive = np.zeros(x.shape, dtype=bool)
+        for j in distances:
+            positive |= (x & (x >> j)) != 0
+        if run_window:
+            covered = x.copy()
+            for s in range(1, run_len):
+                covered |= x >> s
+            positive |= (~covered & run_window) != 0
+        zero.extend(x[~positive].tolist())
+    if not zero:
+        raise InternalConsistencyError(
+            f"no zero-energy configuration at length {length}: minimum is positive"
+        )
+    words = frozenset(Word(format(x, f"0{length}b")[::-1]) for x in zero)
+    if words != enumerate_legal(length, length, spec.profile):
         raise InternalConsistencyError(
             "zero-energy configurations differ from locally legal ones"
         )
-    words = frozenset(_config_word(x, length) for x in argmin)
-    return GroundStateResult(min_energy, words, total)
+    nonzero = sorted(w.symbols for w in words if energy_open(w, spec).total != 0)
+    if nonzero:
+        raise InternalConsistencyError(
+            f"bitmask minimizers with nonzero exact energy: {nonzero[:3]}"
+        )
+    return GroundStateResult(Fraction(0), words, total)
 
 
 @dataclass(frozen=True)

@@ -285,7 +285,7 @@ def profile_structure(profile: DistanceProfile) -> ProfileStructure:
 
     Blocks of size > 1 may occur only when d1 = 2, and for every d-value
     at least one of d-1, d+2 must be forbidden (checked where the profile
-    horizon can classify them).
+    horizon classifies both, i.e. d+2 <= horizon).
     """
     d = profile.d
     if not d:
@@ -305,8 +305,9 @@ def profile_structure(profile: DistanceProfile) -> ProfileStructure:
             "difference-2 blocks found although the first distance exceeds 2"
         )
     for v in d:
-        neighbors = [x for x in (v - 1, v + 2) if 1 <= x <= profile.horizon]
-        if neighbors and not any(x in profile.forbidden for x in neighbors):
+        if v + 2 <= profile.horizon and not (
+            v - 1 in profile.forbidden or v + 2 in profile.forbidden
+        ):
             raise InternalConsistencyError(
                 f"neither {v - 1} nor {v + 2} is forbidden around distance {v}"
             )

@@ -387,7 +387,6 @@ def suite_energy(
     decay_base: Fraction = Fraction(1, 2),
     penalty: Fraction = Fraction(1),
     horizon: int = DEFAULT_HORIZON,
-    workers: int = 1,
     profile: Optional[DistanceProfile] = None,
 ) -> list[CheckResult]:
     checks = []
@@ -407,7 +406,7 @@ def suite_energy(
     def ground_states():
         sizes = {}
         for length in range(2, l_max + 1):
-            result = ground_state_search(length, spec, workers=workers)
+            result = ground_state_search(length, spec)
             sizes[length] = len(result.argmin)
         return f"minimum 0 with legal argmin at every length: sizes {sizes}"
 
@@ -464,7 +463,6 @@ def run_suites(
     names: list[str],
     params: RotationParams,
     profile: Optional[DistanceProfile] = None,
-    workers: int = 1,
 ) -> dict[str, list[CheckResult]]:
     out: dict[str, list[CheckResult]] = {}
     for name in names:
@@ -475,7 +473,7 @@ def run_suites(
         elif name == "characterize":
             out[name] = suite_characterize(params, profile=profile)
         elif name == "energy":
-            out[name] = suite_energy(params, profile=profile, workers=workers)
+            out[name] = suite_energy(params, profile=profile)
         else:
             raise ValueError(f"unknown suite {name!r}")
     return out

@@ -120,9 +120,7 @@ def test_criterion_7_ground_states():
         spec = build_interaction(profile, Fraction(1, 2), Fraction(1))
         for length in range(2, 17):
             # the search itself asserts zero minimum and argmin == legal set
-            result = ground_state_search(
-                length, spec, workers=2 if length >= 15 else 1
-            )
+            result = ground_state_search(length, spec)
             assert result.min_energy == 0
             assert result.states_scanned == 1 << length
 

@@ -64,6 +64,21 @@ def test_distances_text(capsys):
     assert "1 4 9 12 17 22 25" in out
 
 
+def test_distances_readme_horizon_21(capsys):
+    code, out, _ = run(capsys, "distances", "--horizon", "21")
+    assert code == 0
+    assert "2 5 7 10 13 15 18 20" in out
+
+
+def test_leading_minus_angle_both_forms(capsys):
+    spaced = run(capsys, "distances", "--gamma", "-1,1,1,3", "--psi", "-1,1,1,3",
+                 "--horizon", "40", "--format", "json")
+    joined = run(capsys, "distances", "--gamma=-1,1,1,3", "--psi=-1,1,1,3",
+                 "--horizon", "40", "--format", "json")
+    assert spaced[0] == 0
+    assert spaced == joined
+
+
 def test_distances_json_deterministic(capsys):
     first = run(capsys, "distances", "--horizon", "30", "--format", "json")
     second = run(capsys, "distances", "--horizon", "30", "--format", "json")
@@ -137,6 +152,10 @@ def test_ground_state(capsys):
     results = json.loads(out)["results"]
     assert results["min_energy"] == "0/1"
     assert results["states_scanned"] == 64
+
+
+def test_ground_state_workers_option_removed(capsys):
+    assert run(capsys, "ground-state", "--length", "12", "--workers", "2")[0] == 1
 
 
 def test_ground_state_oversized_usage_error(capsys):

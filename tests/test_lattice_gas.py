@@ -1,11 +1,13 @@
 """Couplings, exact energies, exhaustive ground states, periodic densities."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from sturmgas.errors import InsufficientProfileError
-from sturmgas.exact_angle import GOLDEN, RotationParams
+import sturmgas.lattice_gas
+from sturmgas.errors import InsufficientProfileError, InternalConsistencyError
+from sturmgas.exact_angle import GOLDEN, QI_ZERO, RotationParams, parse_qi
 from sturmgas.sturmian_gen import Word, generate
 from sturmgas.order_analysis import distance_profile
 from sturmgas.characterization import enumerate_legal, is_locally_legal
@@ -127,12 +129,6 @@ def test_ground_state_contains_generated_factors():
         assert factor in result.argmin
 
 
-def test_ground_state_parallel_matches_sequential():
-    seq = ground_state_search(11, SPEC)
-    par = ground_state_search(11, SPEC, workers=2)
-    assert seq.argmin == par.argmin and seq.min_energy == par.min_energy
-
-
 def test_ground_state_refuses_oversized_scan():
     with pytest.raises(ValueError):
         ground_state_search(25, SPEC)
@@ -191,9 +187,51 @@ def test_zero_energy_iff_legal_exhaustive_to_14():
 
 def test_ground_state_exhaustive_at_20():
     # the search cross-asserts zero minimum and argmin == legal set
-    result = ground_state_search(20, SPEC, workers=4)
+    result = ground_state_search(20, SPEC)
     assert result.min_energy == 0
     assert result.states_scanned == 1 << 20
+
+
+def test_ground_state_at_exhaustive_cap():
+    result = ground_state_search(24, SPEC)
+    assert result.min_energy == 0
+    assert result.states_scanned == 1 << 24
+    assert len(result.argmin) == 34
+    assert result.argmin == enumerate_legal(24, 24, PROFILE)
+
+
+@pytest.mark.parametrize(
+    "gamma, count", [("0,1,2,2", 25), ("-1,1,1,3", 23), ("1,1,4,3", 35)]
+)
+def test_ground_state_at_20_other_angles(gamma, count):
+    profile = distance_profile(RotationParams(parse_qi(gamma), QI_ZERO), 200)
+    result = ground_state_search(20, build_interaction(profile))
+    assert result.min_energy == 0
+    assert len(result.argmin) == count
+    assert result.argmin == enumerate_legal(20, 20, profile)
+
+
+def test_ground_state_cross_check_fires(monkeypatch):
+    real = sturmgas.lattice_gas.enumerate_legal
+
+    def drop_one(n, big_m, profile):
+        words = real(n, big_m, profile)
+        words.discard(min(words, key=lambda w: w.symbols))
+        return words
+
+    monkeypatch.setattr(sturmgas.lattice_gas, "enumerate_legal", drop_one)
+    with pytest.raises(InternalConsistencyError):
+        ground_state_search(12, SPEC)
+
+
+def test_ground_state_exact_energy_check_fires(monkeypatch):
+    monkeypatch.setattr(
+        sturmgas.lattice_gas,
+        "energy_open",
+        lambda w, spec: SimpleNamespace(total=Fraction(int(w.symbols[0]))),
+    )
+    with pytest.raises(InternalConsistencyError):
+        ground_state_search(12, SPEC)
 
 
 def test_zero_energy_iff_legal_spot_checks_above_20():

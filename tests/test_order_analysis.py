@@ -7,7 +7,7 @@ from sturmgas.errors import (
     InternalConsistencyError,
     UndecidableWindowError,
 )
-from sturmgas.exact_angle import GOLDEN, QI_ZERO, RotationParams, qi_make
+from sturmgas.exact_angle import GOLDEN, QI_ZERO, RotationParams, parse_qi, qi_make
 from sturmgas.sturmian_gen import Word, generate
 from sturmgas.order_analysis import (
     DistanceProfile,
@@ -146,6 +146,17 @@ def test_profile_structure_empty_profile():
     assert profile.d == ()
     structure = profile_structure(profile)
     assert structure.blocks == () and structure.classification == {}
+
+
+@pytest.mark.parametrize("gamma", ["fib", "0,1,2,2", "-1,1,1,3", "1,1,4,3"])
+def test_profile_structure_every_small_horizon(gamma):
+    # the last d-values' right neighbour lies past the horizon; only
+    # classifiable neighbourhoods are checked
+    params = RotationParams(parse_qi(gamma), QI_ZERO)
+    for horizon in range(2, 61):
+        profile = distance_profile(params, horizon)
+        structure = profile_structure(profile)
+        assert set(structure.classification) == set(profile.d)
 
 
 def test_profile_structure_flags_corruption():
