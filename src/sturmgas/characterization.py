@@ -86,9 +86,20 @@ def enumerate_legal(
     symbols: list[str] = []
     ones: list[int] = []
     visited = 0
-
-    def extend(depth: int, zero_run: int) -> None:
-        nonlocal visited
+    # Explicit-stack depth-first search, 0-branch first.  A node is
+    # (depth, zero_run); at depth > 0 its last symbol is 1 iff zero_run == 0.
+    stack = [(0, 0)]
+    while stack:
+        depth, zero_run = stack.pop()
+        if depth:
+            del symbols[depth - 1 :]
+            while ones and ones[-1] >= depth - 1:
+                ones.pop()
+            if zero_run:
+                symbols.append("0")
+            else:
+                symbols.append("1")
+                ones.append(depth - 1)
         visited += 1
         if visited > budget:
             raise InconclusiveError(
@@ -98,19 +109,11 @@ def enumerate_legal(
             )
         if depth == big_m:
             found.add(Word("".join(symbols[pad : pad + n])))
-            return
-        if zero_run < run_cap - 1:
-            symbols.append("0")
-            extend(depth + 1, zero_run + 1)
-            symbols.pop()
+            continue
         if all(depth - a not in forbidden for a in ones):
-            symbols.append("1")
-            ones.append(depth)
-            extend(depth + 1, 0)
-            ones.pop()
-            symbols.pop()
-
-    extend(0, 0)
+            stack.append((depth + 1, 0))
+        if zero_run < run_cap - 1:
+            stack.append((depth + 1, zero_run + 1))
     return found
 
 

@@ -13,7 +13,6 @@ import io
 import json
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -34,6 +33,7 @@ from .order_analysis import (
     DistanceProfile,
     distance_profile,
     factor_complexity,
+    factor_set,
     is_balanced,
     is_most_homogeneous,
     profile_structure,
@@ -41,7 +41,7 @@ from .order_analysis import (
 from .discrepancy import component_intervals, frequency, strict_boundary_check
 from .characterization import enumerate_legal_stable, periodic_exclusion
 from .lattice_gas import build_interaction, energy_open, ground_state_search
-from .verify import run_suites
+from .verify import SUITES, run_suites
 
 USAGE_EXIT = 1
 LIMIT_EXIT = 2
@@ -157,7 +157,7 @@ def build_parser() -> _Parser:
     p = add_parser("verify", "run an invariant suite")
     p.add_argument(
         "--suite",
-        choices=("order", "discrepancy", "characterize", "energy", "all"),
+        choices=(*SUITES, "all"),
         default="all",
     )
     p.add_argument("--profile", help="JSON distance-profile file overriding the computed one")
@@ -165,35 +165,10 @@ def build_parser() -> _Parser:
     return parser
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation parameters shared by every subcommand."""
-
-    gamma_spec: str
-    psi_spec: str
-    horizon: int
-
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        return cls(args.gamma, args.psi, args.horizon)
-
-    @property
-    def is_approx(self) -> bool:
-        return self.gamma_spec.startswith("ratio:")
-
-    def exact_params(self) -> RotationParams:
-        if self.is_approx:
-            raise ValueError("this command needs an exact angle, not ratio:p/q")
-        return RotationParams(parse_qi(self.gamma_spec), parse_qi(self.psi_spec))
-
-    def approx_rotation(self, err_bound: Optional[Fraction]) -> ApproxRotation:
-        frac = Fraction(self.gamma_spec[len("ratio:") :])
-        err = err_bound if err_bound is not None else Fraction(1, frac.denominator**2)
-        return ApproxRotation(frac.numerator, frac.denominator, err)
-
-
 def _exact_params(args) -> RotationParams:
-    return RunConfig.from_args(args).exact_params()
+    if args.gamma.startswith("ratio:"):
+        raise ValueError("this command needs an exact angle, not ratio:p/q")
+    return RotationParams(parse_qi(args.gamma), parse_qi(args.psi))
 
 
 def _config(args) -> dict:
@@ -211,14 +186,15 @@ def _config(args) -> dict:
 
 
 def cmd_generate(args):
-    cfg = RunConfig.from_args(args)
-    if cfg.is_approx:
-        approx = cfg.approx_rotation(args.err_bound)
-        psi_qi = parse_qi(args.psi)
-        word = generate_approx(approx, psi_qi.as_fraction(), args.i_from, args.i_to)
+    if args.gamma.startswith("ratio:"):
+        frac = Fraction(args.gamma[len("ratio:") :])
+        err = args.err_bound if args.err_bound is not None else Fraction(1, frac.denominator**2)
+        approx = ApproxRotation(frac.numerator, frac.denominator, err)
+        psi = parse_qi(args.psi).as_fraction()
+        word = generate_approx(approx, psi, args.i_from, args.i_to)
         mode = f"certified approximation {approx.value} (err bound {approx.err_bound})"
     else:
-        word = generate(cfg.exact_params(), args.i_from, args.i_to)
+        word = generate(_exact_params(args), args.i_from, args.i_to)
         mode = "exact"
     results = {"origin": word.origin, "symbols": word.symbols, "mode": mode}
     return results, [results], word.symbols
@@ -340,8 +316,6 @@ def cmd_characterize(args):
     legal, used = enumerate_legal_stable(args.n, profile)
     words = sorted(w.symbols for w in legal)
     window = generate(params, 0, 4 * max(args.n, 64) - 1)
-    from .order_analysis import factor_set
-
     factors = sorted(w.symbols for w in factor_set(window, args.n))
     results = {
         "n": args.n,
@@ -403,11 +377,7 @@ def cmd_ground_state(args):
 
 def cmd_verify(args):
     params = _exact_params(args)
-    names = (
-        ["order", "discrepancy", "characterize", "energy"]
-        if args.suite == "all"
-        else [args.suite]
-    )
+    names = list(SUITES) if args.suite == "all" else [args.suite]
     profile: Optional[DistanceProfile] = None
     if args.profile:
         with open(args.profile, encoding="utf-8") as fh:

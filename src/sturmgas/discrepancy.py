@@ -38,16 +38,15 @@ class ComponentIntervals:
                 return hi - lo
         return None
 
-    def word_map(self) -> dict[Word, tuple[QuadIrrational, QuadIrrational]]:
-        return dict(zip(self.words, self.intervals))
-
 
 def component_intervals(params: RotationParams, n: int) -> ComponentIntervals:
     """Cut the circle at the preimages of both coding boundaries.
 
     The boundaries {0, gamma} pulled back through offsets 0..n-1 give the
     points frac(m * gamma) for m in [-(n-1), 1]; there are n + 1 of them,
-    and each resulting arc is labeled by coding one interior sample.
+    and each resulting arc is labeled by the word :func:`generate` codes
+    from one interior sample, whose orbit must miss both boundaries for n
+    steps (decided exactly by :meth:`RotationParams.endpoint_hits`).
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -61,19 +60,13 @@ def component_intervals(params: RotationParams, n: int) -> ComponentIntervals:
             )
     pairs = [(cuts[k], cuts[k + 1]) for k in range(len(cuts) - 1)]
     pairs.append((cuts[-1], cuts[0] + 1))
-    boundary = (QI_ZERO, g)
     words = []
     for lo, hi in pairs:
-        sample = ((lo + hi) / 2).frac()
-        symbols = []
-        for k in range(n):
-            point = rotate(sample, g, k)
-            if point in boundary:
-                raise AmbiguousCodingError(
-                    "interior sample landed on a coding boundary"
-                )
-            symbols.append("0" if point < g else "1")
-        words.append(Word("".join(symbols)))
+        sample = RotationParams(g, ((lo + hi) / 2).frac())
+        hits = sample.endpoint_hits()
+        if hits is not None and any(0 <= i < n for i in hits):
+            raise AmbiguousCodingError("interior sample landed on a coding boundary")
+        words.append(generate(sample, 0, n - 1))
     if len(set(words)) != n + 1:
         raise InvalidRotationError("arc labels are not pairwise distinct")
     return ComponentIntervals(n, tuple(cuts), tuple(pairs), tuple(words))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
+from functools import lru_cache, total_ordering
 from math import gcd, isqrt
 from typing import Union
 
@@ -17,9 +17,16 @@ from .errors import FieldMismatchError, InvalidRotationError
 
 Scalar = Union[int, Fraction]
 
+#: largest radicand accepted; the square-free split trial-divides up to its
+#: square root, so this bounds the work per arithmetic result
+MAX_RADICAND = 10**12
 
+
+@lru_cache(maxsize=64)
 def _square_free_split(d: int) -> tuple[int, int]:
     """Return (s, d') with d = s*s*d' and d' square-free."""
+    if d > MAX_RADICAND:
+        raise ValueError(f"radicand {d} above the supported limit {MAX_RADICAND}")
     s = 1
     p = 2
     while p * p <= d:
@@ -257,19 +264,6 @@ GOLDEN = qi_make(-1, 1, 2, 5)
 QI_ZERO = qi_make(0, 0, 1, 0)
 QI_ONE = qi_make(1, 0, 1, 0)
 QI_HALF = qi_make(1, 0, 2, 0)
-
-
-def qi_compare(x: QuadIrrational, y: QuadIrrational) -> int:
-    """Exact ordering of two compatible values: -1, 0 or +1."""
-    return (x - y).sign()
-
-
-def qi_floor(x: QuadIrrational) -> int:
-    return x.floor()
-
-
-def qi_frac(x: QuadIrrational) -> QuadIrrational:
-    return x.frac()
 
 
 def rotate(theta: QuadIrrational, gamma: QuadIrrational, k: int) -> QuadIrrational:

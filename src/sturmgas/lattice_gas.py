@@ -7,7 +7,6 @@ rationals throughout; ground-state comparisons never involve a tolerance.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -61,21 +60,6 @@ class InteractionSpec:
         if j in self.profile.forbidden:
             return self.decay_base**j
         return Fraction(0)
-
-    def pair_coupling(self) -> dict[int, Fraction]:
-        """The full map j -> J(j) over the profile's horizon."""
-        return {j: self.coupling(j) for j in range(1, self.profile.horizon + 1)}
-
-    def to_json(self) -> str:
-        gamma = self.profile.params.gamma if self.profile.params else None
-        return json.dumps(
-            {
-                "gamma": str(gamma) if gamma is not None else None,
-                "lambda": f"{self.decay_base.numerator}/{self.decay_base.denominator}",
-                "beta": f"{self.zero_run_penalty.numerator}/{self.zero_run_penalty.denominator}",
-                "horizon": self.profile.horizon,
-            }
-        )
 
 
 def build_interaction(

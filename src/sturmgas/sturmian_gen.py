@@ -53,9 +53,6 @@ class Word:
     def count(self, symbol: str) -> int:
         return self.symbols.count(symbol)
 
-    def shift(self, new_origin: int) -> "Word":
-        return Word(self.symbols, new_origin)
-
     def to_json(self) -> str:
         return json.dumps({"origin": self.origin, "symbols": self.symbols})
 
@@ -77,7 +74,7 @@ def generate(params: RotationParams, i_from: int, i_to: int) -> Word:
         raise ValueError(f"empty window: {i_from} > {i_to}")
     g = params.gamma
     d = g.d
-    start = rotate(params.psi, g, i_from)
+    start = rotate(params.psi, g, i_from) if i_from else params.psi  # psi is in [0, 1)
     # Walk the orbit with raw integer coefficients over one fixed
     # denominator; normalizing a QuadIrrational per step would dominate.
     c = g.c * start.c // gcd(g.c, start.c)

@@ -173,22 +173,22 @@ def suite_order(
 
     checks.append(_check("profile_structure", structure))
 
-    if g == GOLDEN:
+    def floor_formula():
+        slope = (QI_ONE - g).reciprocal()
+        for j, dj in enumerate(profile.d, start=1):
+            expect = (j * slope).floor()
+            assert dj == expect, f"d_{j} = {dj}, floor formula gives {expect}"
+        return f"d_j = floor(j/(1-gamma)) for {len(profile.d)} ranks"
 
-        def floor_formula():
-            for j, dj in enumerate(profile.d, start=1):
-                expect = (j * (2 + g)).floor()
-                assert dj == expect, f"d_{j} = {dj}, floor formula gives {expect}"
-            return f"d_j = floor(j*(2+gamma)) for {len(profile.d)} ranks"
+    checks.append(_check("distance_floor_formula", floor_formula))
 
-        checks.append(_check("distance_floor_formula", floor_formula))
+    def forbidden_words():
+        run = "0" * (profile.d1 + 1)
+        assert "11" not in w.symbols, "adjacent 1's occurred"
+        assert run not in w.symbols, f"{len(run)} consecutive 0's occurred"
+        return f"no '11' or '{run}' in window of {window}"
 
-        def forbidden_words():
-            assert "11" not in w.symbols, "adjacent 1's occurred"
-            assert "000" not in w.symbols, "three consecutive 0's occurred"
-            return f"no '11' or '000' in window of {window}"
-
-        checks.append(_check("forbidden_words_absent", forbidden_words))
+    checks.append(_check("forbidden_words_absent", forbidden_words))
 
     def gaps():
         ones = w.one_positions()
@@ -451,12 +451,8 @@ def suite_energy(
     return checks
 
 
-SUITES = {
-    "order": suite_order,
-    "discrepancy": suite_discrepancy,
-    "characterize": suite_characterize,
-    "energy": suite_energy,
-}
+#: every suite by name, with whether it accepts an overriding distance profile
+SUITES = {"order": False, "discrepancy": False, "characterize": True, "energy": True}
 
 
 def run_suites(
@@ -466,14 +462,10 @@ def run_suites(
 ) -> dict[str, list[CheckResult]]:
     out: dict[str, list[CheckResult]] = {}
     for name in names:
-        if name == "order":
-            out[name] = suite_order(params)
-        elif name == "discrepancy":
-            out[name] = suite_discrepancy(params)
-        elif name == "characterize":
-            out[name] = suite_characterize(params, profile=profile)
-        elif name == "energy":
-            out[name] = suite_energy(params, profile=profile)
-        else:
+        if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}")
+        # Looked up at call time, so a wrapper bound onto this module
+        # (such as a tracing one) is the function that runs.
+        suite = globals()[f"suite_{name}"]
+        out[name] = suite(params, profile=profile) if SUITES[name] else suite(params)
     return out

@@ -1,5 +1,8 @@
 """Local legality, legal-word enumeration, periodic exclusion, structure scans."""
 
+import inspect
+import sys
+
 import pytest
 
 from sturmgas.errors import InconclusiveError, InsufficientProfileError
@@ -56,6 +59,19 @@ def test_enumerate_budget_guard():
     with pytest.raises(InconclusiveError) as err:
         enumerate_legal(4, 64, PROFILE, budget=50)
     assert err.value.info["length_reached"] == 64
+
+
+def test_enumerate_deeper_than_recursion_limit():
+    # one stack frame per site would overflow the lowered limit
+    profile = distance_profile(FIB, 300)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        legal = enumerate_legal(6, 300, profile)
+    finally:
+        sys.setrecursionlimit(limit)
+    window = generate(FIB, 0, 4095)
+    assert {w.symbols for w in legal} == {w.symbols for w in factor_set(window, 6)}
 
 
 def test_stable_enumeration_matches_factors():

@@ -1,7 +1,9 @@
 """CLI surface: invocations, formats, exit codes, report determinism."""
 
 import json
+import time
 
+import sturmgas.verify
 from sturmgas.cli import main
 from sturmgas.exact_angle import GOLDEN, RotationParams
 from sturmgas.order_analysis import DistanceProfile, distance_profile
@@ -186,6 +188,42 @@ def test_verify_corrupted_profile_fails(tmp_path, capsys):
                        "--profile", str(path))
     assert code == 3
     assert "FAIL" in out
+
+
+def test_verify_profile_reaches_only_profile_suites(tmp_path, capsys, monkeypatch):
+    calls = []
+    for name in sturmgas.verify.SUITES:
+        def fake(params, name=name, **kwargs):
+            calls.append((name, sorted(kwargs)))
+            return []
+        monkeypatch.setattr(sturmgas.verify, f"suite_{name}", fake)
+    path = tmp_path / "profile.json"
+    path.write_text(distance_profile(RotationParams(GOLDEN, GOLDEN), 60).to_json())
+    code, _, _ = run(capsys, "verify", "--profile", str(path))
+    assert code == 0
+    assert calls == [
+        ("order", []),
+        ("discrepancy", []),
+        ("characterize", ["profile"]),
+        ("energy", ["profile"]),
+    ]
+    assert run(capsys, "verify", "--suite", "nope")[0] == 1
+
+
+def test_large_radicand_angle_finishes(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "frequency", "--word", "010",
+                       "--gamma", "0,1,1500000,999999999989")
+    assert code == 0
+    assert out.startswith("freq(010) = 0.3333")
+    assert time.perf_counter() - start < 15
+
+
+def test_radicand_above_limit_usage_error(capsys):
+    code, _, err = run(capsys, "frequency", "--word", "1",
+                       "--gamma", "0,1,2,1000000000000000003")
+    assert code == 1
+    assert "radicand" in err
 
 
 def test_out_file(tmp_path, capsys):

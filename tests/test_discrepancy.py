@@ -2,8 +2,9 @@
 
 import pytest
 
-from sturmgas.exact_angle import GOLDEN, QI_ONE, RotationParams, qi_make
-from sturmgas.sturmian_gen import Word, generate
+from sturmgas.errors import AmbiguousCodingError
+from sturmgas.exact_angle import GOLDEN, QI_ONE, QI_ZERO, RotationParams, qi_make
+from sturmgas.sturmian_gen import Word, generate, symbol_at
 from sturmgas.order_analysis import factor_set
 from sturmgas.discrepancy import (
     component_intervals,
@@ -13,6 +14,13 @@ from sturmgas.discrepancy import (
 )
 
 FIB = RotationParams(GOLDEN, GOLDEN)
+# fib, sqrt(2)/2, sqrt(3)-1, (1+sqrt(3))/4
+PANEL = (
+    FIB,
+    RotationParams(qi_make(0, 1, 2, 2), QI_ZERO),
+    RotationParams(qi_make(-1, 1, 1, 3), QI_ZERO),
+    RotationParams(qi_make(1, 1, 4, 3), QI_ZERO),
+)
 
 
 def test_intervals_length_one_is_coding_partition():
@@ -29,13 +37,40 @@ def test_intervals_length_two_excludes_adjacent_particles():
 
 
 def test_intervals_match_factor_sets():
-    window = generate(FIB, 0, 4095)
-    for n in range(1, 15):
-        ci = component_intervals(FIB, n)
-        assert len(ci.intervals) == n + 1
-        assert {w.symbols for w in ci.words} == {
-            w.symbols for w in factor_set(window, n)
-        }
+    for params in PANEL:
+        window = generate(params, 0, 4095)
+        for n in range(1, 15):
+            ci = component_intervals(params, n)
+            assert len(ci.intervals) == n + 1
+            assert {w.symbols for w in ci.words} == {
+                w.symbols for w in factor_set(window, n)
+            }
+
+
+def _reference_labels(params, ci):
+    # code each arc midpoint symbol by symbol through exact rotation
+    labels = []
+    for lo, hi in ci.intervals:
+        mid = RotationParams(params.gamma, ((lo + hi) / 2).frac())
+        labels.append("".join(str(symbol_at(mid, k)) for k in range(ci.n)))
+    return labels
+
+
+def test_interval_labels_match_exact_rotation():
+    for params in PANEL:
+        for n in range(1, 31):
+            ci = component_intervals(params, n)
+            assert [w.symbols for w in ci.words] == _reference_labels(params, ci)
+
+
+def test_intervals_boundary_sample_is_ambiguous(monkeypatch):
+    # a midpoint never lands on a coding boundary, so force the report
+    n = 5
+    monkeypatch.setattr(RotationParams, "endpoint_hits", lambda self: (n, n + 1))
+    assert len(component_intervals(FIB, n).words) == n + 1
+    monkeypatch.setattr(RotationParams, "endpoint_hits", lambda self: (n - 1, n))
+    with pytest.raises(AmbiguousCodingError):
+        component_intervals(FIB, n)
 
 
 def test_interval_lengths_sum_to_one():

@@ -15,9 +15,6 @@ from sturmgas.exact_angle import (
     continued_fraction,
     convergents,
     parse_qi,
-    qi_compare,
-    qi_floor,
-    qi_frac,
     qi_make,
     rotate,
 )
@@ -75,35 +72,35 @@ def test_raw_constructor_requires_canonical_fields():
 
 
 def test_compare_golden_above_half():
-    assert qi_compare(GOLDEN, qi_make(1, 0, 2, 0)) == 1
+    assert (GOLDEN - qi_make(1, 0, 2, 0)).sign() == 1
 
 
 def test_compare_reflexive():
     x = qi_make(3, -2, 7, 13)
-    assert qi_compare(x, x) == 0
+    assert (x - x).sign() == 0
 
 
 def test_compare_double_golden_minus_one_below_golden():
     # 2g - 1 < g is exactly g < 1
-    assert qi_compare(2 * GOLDEN - 1, GOLDEN) == -1
+    assert ((2 * GOLDEN - 1) - GOLDEN).sign() == -1
     assert GOLDEN < qi_make(1, 0, 1, 0)
 
 
 def test_compare_rejects_mixed_surds():
     with pytest.raises(FieldMismatchError):
-        qi_compare(qi_make(0, 1, 1, 2), qi_make(0, 1, 1, 3))
+        (qi_make(0, 1, 1, 2) - qi_make(0, 1, 1, 3)).sign()
 
 
 def test_floor_examples():
-    assert qi_floor(3 * (2 + GOLDEN)) == 7
-    assert qi_floor(GOLDEN) == 0
-    assert qi_floor(2 + GOLDEN) == 2
+    assert (3 * (2 + GOLDEN)).floor() == 7
+    assert GOLDEN.floor() == 0
+    assert (2 + GOLDEN).floor() == 2
 
 
 def test_floor_negative_values():
-    assert qi_floor(-GOLDEN) == -1
-    assert qi_floor(qi_make(-7, 3, 2, 5)) == -1
-    assert qi_floor(qi_make(7, -3, 2, 5)) == 0
+    assert (-GOLDEN).floor() == -1
+    assert qi_make(-7, 3, 2, 5).floor() == -1
+    assert qi_make(7, -3, 2, 5).floor() == 0
 
 
 def test_rotate_examples():
@@ -122,22 +119,22 @@ def test_roundtrip_stability():
     rng = random.Random(7)
     for _ in range(200):
         x = _random_qi(rng)
-        assert qi_compare(qi_make(x.a, x.b, x.c, x.d), x) == 0
+        assert (qi_make(x.a, x.b, x.c, x.d) - x).sign() == 0
 
 
 def test_floor_frac_consistency():
     rng = random.Random(11)
     for _ in range(300):
         x = _random_qi(rng, bound=10**4)
-        f = qi_frac(x)
+        f = x.frac()
         assert f.sign() >= 0 and (f - 1).sign() < 0
-        assert x == qi_floor(x) + f
+        assert x == x.floor() + f
 
 
 def test_rotation_group_action():
     rng = random.Random(13)
     for _ in range(100):
-        theta = qi_frac(_random_qi(rng, bound=500, d_choices=(0, 5)))
+        theta = _random_qi(rng, bound=500, d_choices=(0, 5)).frac()
         j, k = rng.randint(-20, 20), rng.randint(-20, 20)
         assert rotate(theta, GOLDEN, j + k) == rotate(rotate(theta, GOLDEN, j), GOLDEN, k)
 
@@ -146,7 +143,7 @@ def test_order_transitive_antisymmetric():
     rng = random.Random(17)
     for _ in range(200):
         x, y, z = (_random_qi(rng, bound=1000, d_choices=(0, 5)) for _ in range(3))
-        assert qi_compare(x, y) == -qi_compare(y, x)
+        assert (x - y).sign() == -(y - x).sign()
         if x < y and y < z:
             assert x < z
 
@@ -171,7 +168,7 @@ def test_compare_matches_decimal_on_well_separated_pairs():
         diff = to_decimal(x) - to_decimal(y)
         if abs(diff) < Decimal("1e-12"):
             continue
-        assert qi_compare(x, y) == (1 if diff > 0 else -1)
+        assert (x - y).sign() == (1 if diff > 0 else -1)
         done += 1
 
 

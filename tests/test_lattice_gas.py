@@ -53,22 +53,10 @@ def test_zero_run_length():
 
 
 def test_pair_coupling_map():
-    coupling = SPEC.pair_coupling()
+    coupling = {j: SPEC.coupling(j) for j in range(1, PROFILE.horizon + 1)}
     assert set(coupling) == set(range(1, PROFILE.horizon + 1))
     assert all(coupling[j] > 0 for j in PROFILE.forbidden)
     assert all(coupling[j] == 0 for j in PROFILE.allowed)
-
-
-def test_interaction_json():
-    import json
-
-    payload = json.loads(SPEC.to_json())
-    assert payload == {
-        "gamma": "-1,1,2,5",
-        "lambda": "1/2",
-        "beta": "1/1",
-        "horizon": 200,
-    }
 
 
 def test_energy_of_legal_word_is_zero():
