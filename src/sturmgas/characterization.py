@@ -44,22 +44,20 @@ def is_locally_legal(w: Word, profile: DistanceProfile) -> LegalityVerdict:
         )
     run_len = (profile.d[0] if profile.d else profile.horizon) + 1
     zr_pos = w.symbols.find("0" * run_len)
-    ones = [k for k, ch in enumerate(w.symbols) if ch == "1"]
-    pair: Optional[tuple[int, int]] = None
-    for a_idx, a in enumerate(ones):
-        for b in ones[a_idx + 1 :]:
-            if b - a in profile.forbidden:
-                pair = (a, b - a)
-                break
-        if pair is not None:
-            break
-    if zr_pos == -1 and pair is None:
+    end = len(w) if zr_pos == -1 else zr_pos
+    # bit k of word_bits is site k, so (word_bits >> a) & forbidden_bits holds
+    # the forbidden distances from a to later 1's; the lowest is the first pair
+    word_bits = int(w.symbols[::-1] or "0", 2)
+    for a in (k for k, ch in enumerate(w.symbols[:end]) if ch == "1"):
+        hits = (word_bits >> a) & profile.forbidden_bits
+        if hits:
+            distance = (hits & -hits).bit_length() - 1
+            return LegalityVerdict(
+                False, Violation("forbidden_pair", w.origin + a, distance)
+            )
+    if zr_pos == -1:
         return LegalityVerdict(True)
-    if pair is None or (zr_pos != -1 and zr_pos < pair[0]):
-        return LegalityVerdict(False, Violation("zero_run", w.origin + zr_pos))
-    return LegalityVerdict(
-        False, Violation("forbidden_pair", w.origin + pair[0], pair[1])
-    )
+    return LegalityVerdict(False, Violation("zero_run", w.origin + zr_pos))
 
 
 def enumerate_legal(
@@ -79,27 +77,17 @@ def enumerate_legal(
         )
     if not profile.d:
         raise InsufficientProfileError("profile lists no allowed distance")
-    run_cap = profile.d[0] + 1
-    forbidden = profile.forbidden
+    d1 = profile.d[0]
+    pair_mask = profile.forbidden_bits >> 1
     pad = (big_m - n) // 2
     found: set[Word] = set()
-    symbols: list[str] = []
-    ones: list[int] = []
     visited = 0
     # Explicit-stack depth-first search, 0-branch first.  A node is
-    # (depth, zero_run); at depth > 0 its last symbol is 1 iff zero_run == 0.
-    stack = [(0, 0)]
+    # (depth, zero_run, bits): bits reads the word so far as a binary number,
+    # site 0 most significant, so its bit i lies i + 1 sites before the next.
+    stack = [(0, 0, 0)]
     while stack:
-        depth, zero_run = stack.pop()
-        if depth:
-            del symbols[depth - 1 :]
-            while ones and ones[-1] >= depth - 1:
-                ones.pop()
-            if zero_run:
-                symbols.append("0")
-            else:
-                symbols.append("1")
-                ones.append(depth - 1)
+        depth, zero_run, bits = stack.pop()
         visited += 1
         if visited > budget:
             raise InconclusiveError(
@@ -108,12 +96,12 @@ def enumerate_legal(
                 length_reached=big_m,
             )
         if depth == big_m:
-            found.add(Word("".join(symbols[pad : pad + n])))
+            found.add(Word(format(bits, f"0{big_m}b")[pad : pad + n]))
             continue
-        if all(depth - a not in forbidden for a in ones):
-            stack.append((depth + 1, 0))
-        if zero_run < run_cap - 1:
-            stack.append((depth + 1, zero_run + 1))
+        if not bits & pair_mask:
+            stack.append((depth + 1, 0, bits << 1 | 1))
+        if zero_run < d1:
+            stack.append((depth + 1, zero_run + 1, bits << 1))
     return found
 
 
@@ -183,15 +171,6 @@ class FactVerdict:
         return self.holds
 
 
-def _rank_of_allowed(profile: DistanceProfile) -> dict[int, int]:
-    # d values are >= 2 apart, so d_r and d_r + 1 never collide across ranks.
-    rank: dict[int, int] = {}
-    for r, dv in enumerate(profile.d, start=1):
-        rank[dv] = r
-        rank[dv + 1] = r
-    return rank
-
-
 def check_enclosed_ones(w: Word, profile: DistanceProfile) -> FactVerdict:
     """Pairs of 1's at a rank-r allowed distance must enclose exactly r-1 1's.
 
@@ -202,7 +181,8 @@ def check_enclosed_ones(w: Word, profile: DistanceProfile) -> FactVerdict:
     verdict = is_locally_legal(w, profile)
     if not verdict.legal:
         raise ValueError(f"word is not locally legal: {verdict.violation}")
-    rank = _rank_of_allowed(profile)
+    # d values are >= 2 apart, so d_r and d_r + 1 never collide across ranks.
+    rank = {x: r for r, dv in enumerate(profile.d, start=1) for x in (dv, dv + 1)}
     ones = [k for k, ch in enumerate(w.symbols) if ch == "1"]
     witnesses = []
     for i, a in enumerate(ones):

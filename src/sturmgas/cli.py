@@ -14,6 +14,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from functools import cache
 from typing import Optional
 
 from . import __version__
@@ -79,6 +80,7 @@ def _decimal(x) -> str:
     return f"{float(x):.12g}"
 
 
+@cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="sturmgas", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
@@ -187,7 +189,7 @@ def _config(args) -> dict:
 
 def cmd_generate(args):
     if args.gamma.startswith("ratio:"):
-        frac = Fraction(args.gamma[len("ratio:") :])
+        frac = _fraction(args.gamma[len("ratio:") :])
         err = args.err_bound if args.err_bound is not None else Fraction(1, frac.denominator**2)
         approx = ApproxRotation(frac.numerator, frac.denominator, err)
         psi = parse_qi(args.psi).as_fraction()
@@ -440,9 +442,8 @@ def _render(args, results, rows, text) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_EXIT
     try:
@@ -453,7 +454,8 @@ def main(argv=None) -> int:
     except _LIMIT_ERRORS as exc:
         print(f"computation limit: {type(exc).__name__}: {exc}", file=sys.stderr)
         return LIMIT_EXIT
-    except (ValueError, FieldMismatchError, InvalidRotationError, OSError) as exc:
+    except (ValueError, argparse.ArgumentTypeError, FieldMismatchError,
+            InvalidRotationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     output = _render(args, results, rows, text)

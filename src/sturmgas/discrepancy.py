@@ -127,6 +127,8 @@ def strict_boundary_check(
         raise ValueError("need a nonempty word")
     if max_len < m:
         raise ValueError(f"max_len {max_len} below word length {m}")
+    if trials is not None and trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     window = 2 * max_len
     x = generate(params, 0, window - 1)
     xi = frequency(params, w)

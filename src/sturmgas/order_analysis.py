@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -187,9 +188,8 @@ class DistanceProfile:
     def __post_init__(self):
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-        full = set(range(1, self.horizon + 1))
-        if set(self.allowed) | set(self.forbidden) != full or set(self.allowed) & set(
-            self.forbidden
+        if len(self.allowed) + len(self.forbidden) != self.horizon or (
+            set(self.allowed) | set(self.forbidden) != set(range(1, self.horizon + 1))
         ):
             raise ValueError("allowed and forbidden must partition [1, horizon]")
 
@@ -198,6 +198,12 @@ class DistanceProfile:
         if not self.d:
             raise ValueError("empty profile has no first distance")
         return self.d[0]
+
+    @cached_property
+    def forbidden_bits(self) -> int:
+        """The forbidden set as one integer: bit j is set iff j is forbidden."""
+        bits = ("1" if j in self.forbidden else "0" for j in range(self.horizon, -1, -1))
+        return int("".join(bits), 2)
 
     def check_increments(self) -> None:
         """Increments of d must be d1 or d1 + 1; anything else is corrupt."""
@@ -221,12 +227,16 @@ class DistanceProfile:
     @classmethod
     def from_json(cls, text: str) -> "DistanceProfile":
         obj = json.loads(text)
-        return cls(
-            tuple(obj["d"]),
-            int(obj["horizon"]),
-            frozenset(obj["allowed"]),
-            frozenset(obj["forbidden"]),
-        )
+        lists = ("d", "allowed", "forbidden")
+        if not (
+            isinstance(obj, dict)
+            and type(obj.get("horizon")) is int
+            and all(isinstance(obj.get(k), list) for k in lists)
+            and all(type(x) is int for k in lists for x in obj[k])
+        ):
+            raise ValueError("malformed profile: need integer horizon, d, allowed, forbidden")
+        d, allowed, forbidden = (obj[k] for k in lists)
+        return cls(tuple(d), obj["horizon"], frozenset(allowed), frozenset(forbidden))
 
 
 def ensure_horizon(profile: DistanceProfile, needed: int) -> DistanceProfile:

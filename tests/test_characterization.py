@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from sturmgas.errors import InconclusiveError, InsufficientProfileError
-from sturmgas.exact_angle import GOLDEN, RotationParams
+from sturmgas.exact_angle import GOLDEN, QI_ZERO, RotationParams, qi_make
 from sturmgas.sturmian_gen import Word, generate
 from sturmgas.order_analysis import DistanceProfile, distance_profile, factor_set
 from sturmgas.characterization import (
@@ -20,6 +20,35 @@ from sturmgas.characterization import (
 
 FIB = RotationParams(GOLDEN, GOLDEN)
 PROFILE = distance_profile(FIB, 200)
+# fib, sqrt(2)/2, sqrt(3)-1, (1+sqrt(3))/4
+PANEL_PROFILES = pytest.mark.parametrize(
+    "profile",
+    [
+        distance_profile(RotationParams(gamma, QI_ZERO), 40)
+        for gamma in (GOLDEN, qi_make(0, 1, 2, 2), qi_make(-1, 1, 1, 3), qi_make(1, 1, 4, 3))
+    ],
+    ids=["fib", "sqrt2_2", "sqrt3_1", "1_sqrt3_4"],
+)
+
+
+def _reference_verdict(w, profile):
+    """The O(k^2) pair loop: first 1 (by position) with a forbidden partner."""
+    run_len = profile.d[0] + 1
+    zr_pos = w.symbols.find("0" * run_len)
+    ones = [k for k, ch in enumerate(w.symbols) if ch == "1"]
+    pair = None
+    for a_idx, a in enumerate(ones):
+        for b in ones[a_idx + 1 :]:
+            if b - a in profile.forbidden:
+                pair = (a, b - a)
+                break
+        if pair is not None:
+            break
+    if zr_pos == -1 and pair is None:
+        return (True, None, None, None)
+    if pair is None or (zr_pos != -1 and zr_pos < pair[0]):
+        return (False, "zero_run", w.origin + zr_pos, None)
+    return (False, "forbidden_pair", w.origin + pair[0], pair[1])
 
 
 def test_legal_examples():
@@ -31,6 +60,17 @@ def test_legal_examples():
     assert not pair.legal
     assert pair.violation.kind == "forbidden_pair"
     assert pair.violation.distance == 4 and pair.violation.position == 0
+
+
+@PANEL_PROFILES
+def test_legal_matches_pair_loop_reference(profile):
+    for length in range(13):
+        for x in range(1 << length):
+            w = Word(format(x, f"0{length}b") if length else "", origin=7)
+            verdict = is_locally_legal(w, profile)
+            v = verdict.violation
+            got = (verdict.legal, *((v.kind, v.position, v.distance) if v else (None,) * 3))
+            assert got == _reference_verdict(w, profile), w.symbols
 
 
 def test_legal_violation_positions_respect_origin():
@@ -59,6 +99,34 @@ def test_enumerate_budget_guard():
     with pytest.raises(InconclusiveError) as err:
         enumerate_legal(4, 64, PROFILE, budget=50)
     assert err.value.info["length_reached"] == 64
+
+
+@PANEL_PROFILES
+def test_enumerate_matches_brute_force_filter(profile):
+    for n, big_m in ((1, 4), (3, 9), (4, 12), (6, 14)):
+        pad = (big_m - n) // 2
+        brute = set()
+        for x in range(1 << big_m):
+            symbols = format(x, f"0{big_m}b")
+            if _reference_verdict(Word(symbols), profile)[0]:
+                brute.add(symbols[pad : pad + n])
+        assert {w.symbols for w in enumerate_legal(n, big_m, profile)} == brute
+
+
+def test_enumerate_budget_boundary():
+    # 2704 nodes is exactly the full search at (4, 64)
+    with pytest.raises(InconclusiveError) as err:
+        enumerate_legal(4, 64, PROFILE, budget=2703)
+    assert err.value.info["length_reached"] == 64
+    assert len(enumerate_legal(4, 64, PROFILE, budget=2704)) == 5
+
+
+def test_enumerate_long_enclosure_matches_factors():
+    profile = distance_profile(FIB, 800)
+    window = generate(FIB, 0, 4095)
+    legal = enumerate_legal(200, 800, profile)
+    assert len(legal) == 201
+    assert {w.symbols for w in legal} == {w.symbols for w in factor_set(window, 200)}
 
 
 def test_enumerate_deeper_than_recursion_limit():

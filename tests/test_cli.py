@@ -3,8 +3,10 @@
 import json
 import time
 
+import pytest
+
 import sturmgas.verify
-from sturmgas.cli import main
+from sturmgas.cli import build_parser, main
 from sturmgas.exact_angle import GOLDEN, RotationParams
 from sturmgas.order_analysis import DistanceProfile, distance_profile
 
@@ -129,6 +131,14 @@ def test_discrepancy_csv_row(capsys):
     assert row.startswith("1,0.38196601125")
 
 
+@pytest.mark.parametrize("word, trials", [("1", "0"), ("01", "0"), ("1", "-1")])
+def test_discrepancy_trials_below_one_usage_error(capsys, word, trials):
+    code, out, err = run(capsys, "discrepancy", "--word", word, "--max-len", "10",
+                         "--trials", trials)
+    assert code == 1 and out == ""
+    assert err == f"error: trials must be >= 1, got {trials}\n"
+
+
 def test_characterize_matches_factors(capsys):
     code, out, _ = run(capsys, "characterize", "--n", "5", "--format", "json")
     assert code == 0
@@ -208,6 +218,34 @@ def test_verify_profile_reaches_only_profile_suites(tmp_path, capsys, monkeypatc
         ("energy", ["profile"]),
     ]
     assert run(capsys, "verify", "--suite", "nope")[0] == 1
+
+
+def test_verify_malformed_profile_usage_error(tmp_path, capsys):
+    for i, text in enumerate((
+        '{"d": [2]}',
+        "[1,2]",
+        '{"d": 5, "horizon": 3, "allowed": [], "forbidden": []}',
+    )):
+        path = tmp_path / f"profile{i}.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "verify", "--profile", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_parser_built_once_and_reused_cleanly(capsys):
+    calls = (
+        ("distances", "--horizon", "abc"),
+        ("distances", "--horizon", "25", "--format", "json"),
+        ("distances", "--horizon", "25"),
+    )
+    alone = []
+    for argv in calls:
+        build_parser.cache_clear()
+        alone.append(run(capsys, *argv))
+    assert [code for code, _, _ in alone] == [1, 0, 0]
+    assert [run(capsys, *argv) for argv in calls] == alone
+    assert build_parser() is build_parser()
 
 
 def test_large_radicand_angle_finishes(capsys):

@@ -118,6 +118,13 @@ def test_boundary_letter_bound():
     assert report.frequency == 1 - GOLDEN
 
 
+@pytest.mark.parametrize("word", ["1", "01"])
+@pytest.mark.parametrize("trials", [0, -1])
+def test_boundary_rejects_trials_below_one(word, trials):
+    with pytest.raises(ValueError, match="trials"):
+        strict_boundary_check(FIB, Word(word), 10, trials=trials)
+
+
 def test_boundary_absent_word_zero_deviation():
     report = strict_boundary_check(FIB, Word("11"), 500)
     assert report.frequency == 0

@@ -114,6 +114,29 @@ def test_profile_json_roundtrip():
     assert again.params is None
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"d": [2]}',
+        "[1, 2]",
+        '{"d": 5, "horizon": 3, "allowed": [], "forbidden": []}',
+        '{"d": [2], "horizon": "3", "allowed": [2, 3], "forbidden": [1]}',
+        '{"d": [2], "horizon": 3, "allowed": [2, 3.0], "forbidden": [1]}',
+        '{"d": [2], "horizon": true, "allowed": [], "forbidden": [1]}',
+    ],
+)
+def test_profile_json_malformed_structure(text):
+    with pytest.raises(ValueError):
+        DistanceProfile.from_json(text)
+
+
+def test_profile_forbidden_bits():
+    profile = distance_profile(FIB, 25)
+    bits = profile.forbidden_bits
+    assert {j for j in range(bits.bit_length()) if bits >> j & 1} == profile.forbidden
+    assert profile.forbidden_bits is bits  # derived once per profile
+
+
 def test_profile_partition_enforced():
     with pytest.raises(ValueError):
         DistanceProfile((2,), 4, frozenset({2, 3}), frozenset({1, 2, 4}))
