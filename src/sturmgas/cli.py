@@ -20,12 +20,10 @@ from typing import Optional
 from . import __version__
 from .errors import (
     AmbiguousCodingError,
-    FieldMismatchError,
     HorizonExceededError,
     InconclusiveError,
     InsufficientProfileError,
     InternalConsistencyError,
-    InvalidRotationError,
     UndecidableWindowError,
 )
 from .exact_angle import RotationParams, parse_qi
@@ -34,7 +32,6 @@ from .order_analysis import (
     DistanceProfile,
     distance_profile,
     factor_complexity,
-    factor_set,
     is_balanced,
     is_most_homogeneous,
     profile_structure,
@@ -317,8 +314,8 @@ def cmd_characterize(args):
     profile = distance_profile(params, args.horizon)
     legal, used = enumerate_legal_stable(args.n, profile)
     words = sorted(w.symbols for w in legal)
-    window = generate(params, 0, 4 * max(args.n, 64) - 1)
-    factors = sorted(w.symbols for w in factor_set(window, args.n))
+    # the arc labels are exactly the length-n factors, at every angle
+    factors = sorted(w.symbols for w in component_intervals(params, args.n).words)
     results = {
         "n": args.n,
         "M_used": used,
@@ -454,8 +451,7 @@ def main(argv=None) -> int:
     except _LIMIT_ERRORS as exc:
         print(f"computation limit: {type(exc).__name__}: {exc}", file=sys.stderr)
         return LIMIT_EXIT
-    except (ValueError, argparse.ArgumentTypeError, FieldMismatchError,
-            InvalidRotationError, OSError) as exc:
+    except (ValueError, argparse.ArgumentTypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     output = _render(args, results, rows, text)

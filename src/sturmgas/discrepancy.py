@@ -3,8 +3,9 @@
 Every length-n word that occurs corresponds to one arc of the circle cut
 at the rotation preimages of the two coding boundaries; its frequency is
 the exact arc length.  Deviation maxima over segments are computed with
-integer prefix counts and compared exactly, so "the bound stopped growing"
-is an exact statement, not a float coincidence.
+integer prefix counts and kept as integer surd pairs over the frequency's
+denominator, so "the bound stopped growing" is an exact statement, not a
+float coincidence.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import AmbiguousCodingError, InvalidRotationError
-from .exact_angle import QI_ZERO, QuadIrrational, RotationParams, rotate
+from .exact_angle import QI_ZERO, QuadIrrational, RotationParams, _sign_surd, qi_make, rotate
 from .sturmian_gen import Word, generate
 
 
@@ -80,18 +81,21 @@ def frequency(params: RotationParams, w: Word) -> QuadIrrational:
     return length if length is not None else QI_ZERO
 
 
+def _occurrences(x: Word, w: Word) -> list[int]:
+    """Offsets in x where w starts, overlaps included."""
+    starts = []
+    pos = x.symbols.find(w.symbols)
+    while pos != -1:
+        starts.append(pos)
+        pos = x.symbols.find(w.symbols, pos + 1)
+    return starts
+
+
 def count_occurrences(x: Word, w: Word) -> int:
     """Occurrences of w in x, overlaps included; 0 when w is longer than x."""
     if len(w) == 0:
         raise ValueError("need a nonempty pattern")
-    if len(w) > len(x):
-        return 0
-    count = 0
-    pos = x.symbols.find(w.symbols)
-    while pos != -1:
-        count += 1
-        pos = x.symbols.find(w.symbols, pos + 1)
-    return count
+    return len(_occurrences(x, w))
 
 
 @dataclass(frozen=True)
@@ -132,13 +136,11 @@ def strict_boundary_check(
     window = 2 * max_len
     x = generate(params, 0, window - 1)
     xi = frequency(params, w)
+    a, b, c, d = xi.a, xi.b, xi.c, xi.d
 
     slots = window - m + 1
     occ = np.zeros(slots, dtype=np.int64)
-    start = x.symbols.find(w.symbols)
-    while start != -1:
-        occ[start] = 1
-        start = x.symbols.find(w.symbols, start + 1)
+    occ[_occurrences(x, w)] = 1
     prefix = np.zeros(slots + 1, dtype=np.int64)
     np.cumsum(occ, out=prefix[1:])
 
@@ -150,29 +152,29 @@ def strict_boundary_check(
     else:
         plan = f"all lengths in [{m}, {window}], all offsets"
 
-    best: Optional[QuadIrrational] = None  # horizon max_len
-    best2: Optional[QuadIrrational] = None  # horizon 2 * max_len
-    if m > 1:
-        # Segments shorter than the word hold zero occurrences, so their
-        # deviation is frequency * length, largest at length m - 1.
-        best = best2 = xi * (m - 1)
+    # A deviation (p + q*sqrt(d))/c is the integer pair (p, q).  Segments
+    # shorter than w hold no occurrence, so their deviation peaks at
+    # frequency * (m - 1); that is (0, 0) for m = 1, and no deviation is
+    # negative.  Lengths ascend, so max_dev is the running maximum at the
+    # last length <= max_len.
+    best = best2 = (a * (m - 1), b * (m - 1))
     for L in lengths:
         k = L - m + 1
         counts = prefix[k : slots + 1] - prefix[: slots + 1 - k]
-        expected = xi * L
-        dev_hi = int(counts.max()) - expected
-        dev_lo = expected - int(counts.min())
-        dev = dev_hi if dev_hi > dev_lo else dev_lo
-        if best2 is None or dev > best2:
+        hi = (c * int(counts.max()) - a * L, -b * L)
+        lo = (a * L - c * int(counts.min()), b * L)
+        dev = hi if _sign_surd(hi[0] - lo[0], hi[1] - lo[1], d) > 0 else lo
+        if _sign_surd(dev[0] - best2[0], dev[1] - best2[1], d) > 0:
             best2 = dev
-        if L <= max_len and (best is None or dev > best):
-            best = dev
-    assert best is not None and best2 is not None
+        if L <= max_len:
+            best = best2
+    max_dev = qi_make(*best, c, d)
+    c_w_estimate = qi_make(*best2, c, d)
     return DiscrepancyReport(
         word=w,
         frequency=xi,
-        max_dev=best,
-        c_w_estimate=best2,
-        stabilized=best == best2,
+        max_dev=max_dev,
+        c_w_estimate=c_w_estimate,
+        stabilized=max_dev == c_w_estimate,
         segments_tested=f"window [0, {window}), {plan}, horizons {max_len} and {window}",
     )

@@ -1,8 +1,8 @@
 """Invariant suites wired into both the CLI and the acceptance tests.
 
-Each suite runs a list of named checks at desk-scale defaults and reports
-one result per check; reports are fully deterministic (fixed sampling
-plans, exact arithmetic, sorted serialization).
+Each suite runs a list of named checks at the desk-scale module constants
+below and reports one result per check; reports are fully deterministic
+(fixed sampling plans, exact arithmetic, sorted serialization).
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Optional
 
 from .errors import SturmgasError, UndecidableWindowError
@@ -44,11 +45,25 @@ from .lattice_gas import (
     periodic_energy_density,
 )
 
-#: desk-scale defaults: `verify --suite all` stays well under two minutes
+#: desk-scale plan, read by the suites at call time: `verify --suite all`
+#: stays well under two minutes
 DEFAULT_HORIZON = 200
 DEFAULT_WINDOW = 2000
 DEFAULT_L_MAX = 16
 DEFAULT_N_MAX = 12
+#: factor lengths whose frequencies and deviation maxima are checked
+WORD_LEN_MAX = 6
+#: the shorter of the two deviation horizons (the other is twice it)
+DEVIATION_MAX_LEN = 1000
+#: largest period whose periodic energy densities are checked
+DENSITY_P_MAX = 10
+DECAY_BASE = Fraction(1, 2)
+PENALTY = Fraction(1)
+#: windows in the balance/homogeneity equivalence run, their largest
+#: length and the seed of their pseudorandom plan
+EQUIV_SAMPLES = 100
+EQUIV_MAX_LEN = 500
+EQUIV_SEED = 20260808
 
 
 @dataclass(frozen=True)
@@ -75,9 +90,7 @@ def _check(name: str, fn) -> CheckResult:
 # deterministic window/mutation plan shared by fast and full equivalence runs
 
 
-def equivalence_ensemble(
-    gamma: QuadIrrational, count: int, max_len: int = 500, seed: int = 20260808
-):
+def equivalence_ensemble(gamma: QuadIrrational, count: int):
     """Yield (window, mutated) pairs under a fixed pseudorandom plan.
 
     Phases mix rationals with multiples of gamma; the flip position is
@@ -86,10 +99,10 @@ def equivalence_ensemble(
     runs that spacing analysis cannot see, and genuinely separate the two
     window-level deciders).
     """
-    rng = random.Random(seed)
+    rng = random.Random(EQUIV_SEED)
     produced = 0
     while produced < count:
-        length = rng.randrange(24, max_len + 1)
+        length = rng.randrange(24, EQUIV_MAX_LEN + 1)
         i0 = rng.randrange(-1000, 1000)
         r = Fraction(rng.randrange(0, 997), 997)
         m = rng.randrange(0, 4)
@@ -106,9 +119,7 @@ def equivalence_ensemble(
         yield w, mutated
 
 
-def run_equivalence(
-    gamma: QuadIrrational, count: int, max_len: int = 500, seed: int = 20260808
-) -> str:
+def run_equivalence(gamma: QuadIrrational, count: int) -> str:
     """Balance and spacing verdicts must agree on every decidable window.
 
     Clean windows must pass both checks; mutated ones must fail both when
@@ -116,7 +127,7 @@ def run_equivalence(
     (some length with more than n+1 distinct factors).
     """
     decided = skipped = 0
-    for w, mutated in equivalence_ensemble(gamma, count, max_len, seed):
+    for w, mutated in equivalence_ensemble(gamma, count):
         bal = is_balanced(w)
         hom = is_most_homogeneous(w)
         assert bal.balanced and hom.homogeneous, (
@@ -147,23 +158,17 @@ def run_equivalence(
 # suites
 
 
-def suite_order(
-    params: RotationParams,
-    n_max: int = DEFAULT_N_MAX,
-    horizon: int = DEFAULT_HORIZON,
-    window: int = DEFAULT_WINDOW,
-    equiv_samples: int = 100,
-) -> list[CheckResult]:
+def suite_order(params: RotationParams) -> list[CheckResult]:
     g = params.gamma
-    profile = distance_profile(params, horizon)
-    w = generate(params, 0, window - 1)
+    profile = distance_profile(params, DEFAULT_HORIZON)
+    w = generate(params, 0, DEFAULT_WINDOW - 1)
     checks = []
 
     def complexity():
-        report = factor_complexity(params, n_max)
+        report = factor_complexity(params, DEFAULT_N_MAX)
         bad = {n: p for n, p in report.p.items() if p != n + 1}
         assert not bad, f"factor counts off minimal complexity: {bad}"
-        return f"p_n = n+1 for n <= {n_max}, window {report.window_len}"
+        return f"p_n = n+1 for n <= {DEFAULT_N_MAX}, window {report.window_len}"
 
     checks.append(_check("complexity_minimal", complexity))
 
@@ -186,7 +191,7 @@ def suite_order(
         run = "0" * (profile.d1 + 1)
         assert "11" not in w.symbols, "adjacent 1's occurred"
         assert run not in w.symbols, f"{len(run)} consecutive 0's occurred"
-        return f"no '11' or '{run}' in window of {window}"
+        return f"no '11' or '{run}' in window of {DEFAULT_WINDOW}"
 
     checks.append(_check("forbidden_words_absent", forbidden_words))
 
@@ -199,7 +204,7 @@ def suite_order(
     checks.append(_check("gaps_two_valued", gaps))
 
     def both_gap_values():
-        span = window
+        span = DEFAULT_WINDOW
         while True:
             ones = generate(params, 0, span - 1).one_positions()
             missing = []
@@ -212,7 +217,7 @@ def suite_order(
                     missing.append(j)
             if not missing:
                 return f"both spacings seen for every rank, window {span}"
-            if span >= 16 * window:
+            if span >= 16 * DEFAULT_WINDOW:
                 raise AssertionError(f"ranks missing a spacing value: {missing}")
             span *= 2
 
@@ -221,12 +226,12 @@ def suite_order(
     def window_order():
         assert is_balanced(w).balanced, "window unbalanced"
         assert is_most_homogeneous(w).homogeneous, "window inhomogeneous"
-        return f"window of {window} balanced and homogeneous"
+        return f"window of {DEFAULT_WINDOW} balanced and homogeneous"
 
     checks.append(_check("window_balance_homogeneity", window_order))
 
     def letter_freq():
-        for n in (50, 500, window):
+        for n in (50, 500, DEFAULT_WINDOW):
             word = generate(params, 0, n - 1)
             dev = word.count("1") - (QI_ONE - g) * n
             assert -1 <= dev <= 1, f"letter-count deviation {float(dev):.4f} at {n}"
@@ -237,65 +242,61 @@ def suite_order(
     checks.append(
         _check(
             "balance_homogeneity_equivalence",
-            lambda: run_equivalence(g, equiv_samples),
+            lambda: run_equivalence(g, EQUIV_SAMPLES),
         )
     )
     return checks
 
 
-def suite_discrepancy(
-    params: RotationParams,
-    word_len_max: int = 6,
-    max_len: int = 1000,
-    bijection_n_max: int = DEFAULT_N_MAX,
-) -> list[CheckResult]:
+def suite_discrepancy(params: RotationParams) -> list[CheckResult]:
     checks = []
-    window = generate(params, 0, max(4 * bijection_n_max, 512) - 1)
+    # one deviation scan per word, shared by the checks below
+    report = cache(lambda f: strict_boundary_check(params, Word(f), DEVIATION_MAX_LEN))
+    window = generate(params, 0, max(4 * DEFAULT_N_MAX, 512) - 1)
 
     def bijection():
-        for n in range(1, bijection_n_max + 1):
+        for n in range(1, DEFAULT_N_MAX + 1):
             ci = component_intervals(params, n)
             assert len(ci.intervals) == n + 1, f"{len(ci.intervals)} arcs at n={n}"
             factors = {x.symbols for x in factor_set(window, n)}
             labels = {x.symbols for x in ci.words}
             assert labels == factors, f"arc labels differ from factors at n={n}"
-        return f"n+1 arcs labeled by the n+1 factors for n <= {bijection_n_max}"
+        return f"n+1 arcs labeled by the n+1 factors for n <= {DEFAULT_N_MAX}"
 
     checks.append(_check("interval_word_bijection", bijection))
 
     def additivity():
-        for n in range(1, word_len_max):
+        for n in range(1, WORD_LEN_MAX):
             for f in sorted(x.symbols for x in factor_set(window, n)):
                 w = Word(f)
                 lhs = frequency(params, w)
                 rhs = frequency(params, Word(f + "0")) + frequency(params, Word(f + "1"))
                 assert lhs == rhs, f"extension frequencies differ at {f}"
-        return f"freq(w) = freq(w0) + freq(w1) for |w| < {word_len_max}"
+        return f"freq(w) = freq(w0) + freq(w1) for |w| < {WORD_LEN_MAX}"
 
     checks.append(_check("frequency_additivity", additivity))
 
     def total_mass():
-        for n in range(1, word_len_max + 1):
+        for n in range(1, WORD_LEN_MAX + 1):
             ci = component_intervals(params, n)
             total = sum((hi - lo for lo, hi in ci.intervals), QI_ONE * 0)
             assert total == 1, f"arc lengths sum to {total} at n={n}"
-        return f"length-n frequencies sum to 1 for n <= {word_len_max}"
+        return f"length-n frequencies sum to 1 for n <= {WORD_LEN_MAX}"
 
     checks.append(_check("frequencies_sum_to_one", total_mass))
 
     def stabilization():
         flat = []
-        for n in range(1, word_len_max + 1):
+        for n in range(1, WORD_LEN_MAX + 1):
             for f in sorted(x.symbols for x in factor_set(window, n)):
-                rep = strict_boundary_check(params, Word(f), max_len)
-                assert rep.stabilized, f"deviation max grew for {f}"
+                assert report(f).stabilized, f"deviation max grew for {f}"
                 flat.append(f)
-        return f"{len(flat)} factor words flat across doubled horizon {max_len}"
+        return f"{len(flat)} factor words flat across doubled horizon {DEVIATION_MAX_LEN}"
 
     checks.append(_check("deviation_maxima_stable", stabilization))
 
     def letter_bound():
-        rep = strict_boundary_check(params, Word("1"), max_len)
+        rep = report("1")
         assert rep.max_dev <= 1, f"deviation {float(rep.max_dev):.4f} above 1"
         return f"max deviation for '1' = {float(rep.max_dev):.6f} <= 1"
 
@@ -303,12 +304,10 @@ def suite_discrepancy(
 
     def prefix_convergence():
         for f in ("1", "00", "010"):
-            w = Word(f)
-            xi = frequency(params, w)
-            rep = strict_boundary_check(params, w, max_len)
+            rep = report(f)
             for n_len in (64, 256, 1024):
                 seg = generate(params, 0, n_len - 1)
-                dev = count_occurrences(seg, w) - xi * n_len
+                dev = count_occurrences(seg, rep.word) - rep.frequency * n_len
                 dev = dev if dev.sign() >= 0 else -dev
                 assert dev <= rep.c_w_estimate, f"prefix deviation at {f}, N={n_len}"
         return "prefix counts within the estimated constant"
@@ -318,42 +317,38 @@ def suite_discrepancy(
 
 
 def suite_characterize(
-    params: RotationParams,
-    n_max: int = DEFAULT_N_MAX,
-    p_max: int = DEFAULT_N_MAX,
-    horizon: int = DEFAULT_HORIZON,
-    profile: Optional[DistanceProfile] = None,
+    params: RotationParams, profile: Optional[DistanceProfile] = None
 ) -> list[CheckResult]:
     checks = []
-    prof = profile if profile is not None else distance_profile(params, horizon)
+    prof = profile if profile is not None else distance_profile(params, DEFAULT_HORIZON)
     window = generate(params, 0, 4095)
 
     def enumeration():
-        for n in range(1, n_max + 1):
+        for n in range(1, DEFAULT_N_MAX + 1):
             legal, used = enumerate_legal_stable(n, prof)
             assert len(legal) == n + 1, f"{len(legal)} legal words at n={n}"
             factors = {x.symbols for x in factor_set(window, n)}
             assert {x.symbols for x in legal} == factors, (
                 f"legal set differs from factors at n={n}"
             )
-        return f"legal-word sets equal factor sets, size n+1, for n <= {n_max}"
+        return f"legal-word sets equal factor sets, size n+1, for n <= {DEFAULT_N_MAX}"
 
     checks.append(_check("legal_enumeration_matches_factors", enumeration))
 
     def exclusion():
         hits = {}
-        for p in range(1, p_max + 1):
+        for p in range(1, DEFAULT_N_MAX + 1):
             hits[p] = periodic_exclusion(p, prof)
         if params.gamma == GOLDEN:
             assert hits[1] == 1, f"period 1 excluded at multiple {hits[1]}"
             assert hits[2] == 2, f"period 2 excluded at multiple {hits[2]}"
-        return f"forbidden multiple found for every period <= {p_max}: {hits}"
+        return f"forbidden multiple found for every period <= {DEFAULT_N_MAX}: {hits}"
 
     checks.append(_check("periodic_exclusion", exclusion))
 
     def periodic_illegal():
         run_len = prof.d1 + 1
-        for p in range(1, p_max + 1):
+        for p in range(1, DEFAULT_N_MAX + 1):
             i = periodic_exclusion(p, prof)
             span = max(2 * i * p, run_len)
             grown = distance_profile(params, max(prof.horizon, span))
@@ -362,7 +357,7 @@ def suite_characterize(
                 x = (cell * (span // p + 1))[:span]
                 verdict = is_locally_legal(Word(x), grown)
                 assert not verdict.legal, f"period-{p} content {cell} passed"
-        return f"every periodic content up to period {p_max} rejected"
+        return f"every periodic content up to period {DEFAULT_N_MAX} rejected"
 
     checks.append(_check("periodic_words_illegal", periodic_illegal))
 
@@ -381,23 +376,17 @@ def suite_characterize(
 
 
 def suite_energy(
-    params: RotationParams,
-    l_max: int = DEFAULT_L_MAX,
-    p_max: int = 10,
-    decay_base: Fraction = Fraction(1, 2),
-    penalty: Fraction = Fraction(1),
-    horizon: int = DEFAULT_HORIZON,
-    profile: Optional[DistanceProfile] = None,
+    params: RotationParams, profile: Optional[DistanceProfile] = None
 ) -> list[CheckResult]:
     checks = []
-    prof = profile if profile is not None else distance_profile(params, horizon)
-    spec = build_interaction(prof, decay_base, penalty)
+    prof = profile if profile is not None else distance_profile(params, DEFAULT_HORIZON)
+    spec = build_interaction(prof, DECAY_BASE, PENALTY)
 
     def summable():
         total = sum(
             (spec.coupling(j) for j in sorted(prof.forbidden)), Fraction(0)
         )
-        bound = decay_base / (1 - decay_base)
+        bound = DECAY_BASE / (1 - DECAY_BASE)
         assert total <= bound, f"coupling sum {total} above geometric bound"
         return f"sum of couplings {float(total):.6f} <= {float(bound):.6f}"
 
@@ -405,7 +394,7 @@ def suite_energy(
 
     def ground_states():
         sizes = {}
-        for length in range(2, l_max + 1):
+        for length in range(2, DEFAULT_L_MAX + 1):
             result = ground_state_search(length, spec)
             sizes[length] = len(result.argmin)
         return f"minimum 0 with legal argmin at every length: sizes {sizes}"
@@ -423,12 +412,12 @@ def suite_energy(
 
     def periodic_positive():
         worst = None
-        for p in range(1, p_max + 1):
+        for p in range(1, DENSITY_P_MAX + 1):
             for content in range(1 << p):
                 cell = "".join("1" if (content >> k) & 1 else "0" for k in range(p))
                 dens = periodic_energy_density(Word(cell), spec)
                 if content == 0:
-                    assert dens.lower_bound == penalty, (
+                    assert dens.lower_bound == PENALTY, (
                         f"vacuum density {dens.lower_bound} != penalty"
                     )
                 else:
@@ -440,7 +429,7 @@ def suite_energy(
     checks.append(_check("periodic_densities_positive", periodic_positive))
 
     def decay_invariance():
-        halved = build_interaction(prof, decay_base / 2, penalty)
+        halved = build_interaction(prof, DECAY_BASE / 2, PENALTY)
         for length in (4, 8, 10):
             a = ground_state_search(length, spec)
             b = ground_state_search(length, halved)

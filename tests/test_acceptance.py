@@ -79,7 +79,7 @@ def test_criterion_3_complexity_and_intervals():
 
 def test_criterion_4_equivalence_suite():
     with criterion(4, 30.0, "balance and homogeneity verdicts agree on 10^3 windows + mutations"):
-        summary = run_equivalence(GOLDEN, 1000, max_len=500)
+        summary = run_equivalence(GOLDEN, 1000)
         assert "1000 windows" in summary
 
 

@@ -1,6 +1,12 @@
-"""The public export list names exactly what the package provides."""
+"""The public export list names exactly what the package provides, and
+every module uses what it imports."""
+
+import ast
+from pathlib import Path
 
 import sturmgas
+
+SRC = Path(sturmgas.__file__).parent
 
 #: exact-angle wrappers removed in favour of the methods sign(), floor(), frac()
 REMOVED = ("qi_compare", "qi_floor", "qi_frac")
@@ -16,3 +22,24 @@ def test_removed_names_not_exported():
     for name in REMOVED:
         assert name not in sturmgas.__all__
         assert not hasattr(sturmgas, name)
+
+
+def _imported_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+def test_every_import_is_used():
+    # a deletion that leaves an import behind fails here
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused = [name for name in _imported_names(tree) if name not in used]
+        assert not unused, f"{path.name} imports unused {unused}"

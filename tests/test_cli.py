@@ -146,6 +146,16 @@ def test_characterize_matches_factors(capsys):
     assert results["count"] == 6 and results["matches_factor_set"] is True
 
 
+def test_characterize_sparse_angle_matches_arc_labels(capsys):
+    # one 1 in about 300 sites: a window of a few hundred sites misses
+    # most length-8 factors, the n + 1 arc labels do not
+    code, out, _ = run(capsys, "characterize", "--n", "8", "--gamma", "89698,1,89998,2",
+                       "--horizon", "400", "--format", "json")
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["count"] == 9 and results["matches_factor_set"] is True
+
+
 def test_exclusion(capsys):
     code, out, _ = run(capsys, "exclusion", "--period", "2", "--format", "json")
     assert code == 0

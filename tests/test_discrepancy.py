@@ -1,7 +1,11 @@
 """Interval correspondence, exact frequencies, segment-count deviations."""
 
+from collections import Counter
+
+import numpy as np
 import pytest
 
+from sturmgas import verify
 from sturmgas.errors import AmbiguousCodingError
 from sturmgas.exact_angle import GOLDEN, QI_ONE, QI_ZERO, RotationParams, qi_make
 from sturmgas.sturmian_gen import Word, generate, symbol_at
@@ -9,6 +13,7 @@ from sturmgas.order_analysis import factor_set
 from sturmgas.discrepancy import (
     component_intervals,
     count_occurrences,
+    DiscrepancyReport,
     frequency,
     strict_boundary_check,
 )
@@ -168,3 +173,91 @@ def test_boundary_sampled_lengths():
 def test_boundary_rejects_short_horizon():
     with pytest.raises(ValueError):
         strict_boundary_check(FIB, Word("0100"), 3)
+
+
+def _reference_boundary_check(params, w, max_len, trials=None):
+    # the per-length QuadIrrational scan strict_boundary_check replaced,
+    # kept as the oracle its integer surd pairs are checked against
+    m = len(w)
+    window = 2 * max_len
+    x = generate(params, 0, window - 1)
+    xi = frequency(params, w)
+
+    slots = window - m + 1
+    occ = np.zeros(slots, dtype=np.int64)
+    start = x.symbols.find(w.symbols)
+    while start != -1:
+        occ[start] = 1
+        start = x.symbols.find(w.symbols, start + 1)
+    prefix = np.zeros(slots + 1, dtype=np.int64)
+    np.cumsum(occ, out=prefix[1:])
+
+    lengths = range(m, window + 1)
+    if trials is not None and trials < len(lengths):
+        idx = np.unique(np.linspace(0, len(lengths) - 1, trials).astype(int))
+        lengths = [m + int(i) for i in idx]
+        plan = f"{len(lengths)} sampled lengths in [{m}, {window}], all offsets"
+    else:
+        plan = f"all lengths in [{m}, {window}], all offsets"
+
+    best = best2 = None
+    if m > 1:
+        best = best2 = xi * (m - 1)
+    for L in lengths:
+        k = L - m + 1
+        counts = prefix[k : slots + 1] - prefix[: slots + 1 - k]
+        expected = xi * L
+        dev_hi = int(counts.max()) - expected
+        dev_lo = expected - int(counts.min())
+        dev = dev_hi if dev_hi > dev_lo else dev_lo
+        if best2 is None or dev > best2:
+            best2 = dev
+        if L <= max_len and (best is None or dev > best):
+            best = dev
+    return DiscrepancyReport(
+        word=w,
+        frequency=xi,
+        max_dev=best,
+        c_w_estimate=best2,
+        stabilized=best == best2,
+        segments_tested=f"window [0, {window}), {plan}, horizons {max_len} and {window}",
+    )
+
+
+@pytest.mark.parametrize("params", PANEL)
+def test_boundary_check_matches_reference_scan(params):
+    window = generate(params, 0, 4095)
+    words = [x.symbols for n in range(1, 7) for x in factor_set(window, n)]
+    assert len(words) == 27
+    for f in words + ["11"]:
+        for max_len in (6, 40, 97):
+            for trials in (None, 1, 5):
+                got = strict_boundary_check(params, Word(f), max_len, trials)
+                want = _reference_boundary_check(params, Word(f), max_len, trials)
+                assert got == want, (f, max_len, trials)
+
+
+def test_boundary_seed_from_segments_shorter_than_word():
+    # the first 1 comes after about 850 sites, so a segment of length L
+    # holds L - k + 1 copies of 0^k everywhere and the largest deviation is
+    # the one of the segment of length k - 1: frequency * (k - 1)
+    sparse = RotationParams(qi_make(998, 1, 1000, 2), qi_make(1, 0, 2, 0))
+    for f in ("0", "00", "000"):
+        report = strict_boundary_check(sparse, Word(f), 12)
+        assert report == _reference_boundary_check(sparse, Word(f), 12)
+        if len(f) > 1:
+            assert report.max_dev == report.frequency * (len(f) - 1)
+
+
+def test_discrepancy_suite_scans_each_word_once(monkeypatch):
+    scanned = Counter()
+
+    def counting(params, w, max_len, trials=None):
+        scanned[w.symbols] += 1
+        return strict_boundary_check(params, w, max_len, trials)
+
+    monkeypatch.setattr(verify, "strict_boundary_check", counting)
+    checks = verify.suite_discrepancy(FIB)
+    assert [c.name for c in checks if not c.passed] == []
+    # the 27 factors of length 1-6 include '1', '00' and '010'
+    assert len(scanned) == 27 and set(scanned.values()) == {1}

@@ -19,7 +19,7 @@ from sturmgas.order_analysis import (
     is_most_homogeneous,
     profile_structure,
 )
-from sturmgas.verify import suite_order
+from sturmgas import verify
 
 FIB = RotationParams(GOLDEN, GOLDEN)
 SQRT2 = RotationParams(qi_make(0, 1, 2, 2), QI_ZERO)  # d1 = 3 example
@@ -184,10 +184,11 @@ def test_profile_structure_every_small_horizon(gamma):
 
 
 @pytest.mark.parametrize("gamma", ["fib", "0,1,2,2", "-1,1,1,3", "1,1,4,3"])
-def test_order_suite_at_panel_angles(gamma):
+def test_order_suite_at_panel_angles(gamma, monkeypatch):
     # the Beatty formula d_j = floor(j/(1-gamma)) and the forbidden words
     # '11' and 0^(d1+1) hold at every admissible angle, not only at fib
-    checks = suite_order(RotationParams(parse_qi(gamma), QI_ZERO), equiv_samples=10)
+    monkeypatch.setattr(verify, "EQUIV_SAMPLES", 10)
+    checks = verify.suite_order(RotationParams(parse_qi(gamma), QI_ZERO))
     names = {c.name for c in checks}
     assert {"distance_floor_formula", "forbidden_words_absent"} <= names
     assert [c.name for c in checks if not c.passed] == []
