@@ -438,6 +438,31 @@ def _render(args, results, rows, text) -> str:
     return text + "\n"
 
 
+def _limit_report(exc: Exception) -> str:
+    """A computation-limit failure and its partial progress, as JSON."""
+    info = exc.info if isinstance(exc, InconclusiveError) else {}
+    info = {
+        key: sorted(w.symbols for w in value) if isinstance(value, set) else value
+        for key, value in info.items()
+    }
+    error = {"type": type(exc).__name__, "message": str(exc), "info": info}
+    return json.dumps({"error": error}, sort_keys=True, indent=2) + "\n"
+
+
+def _emit(args, output: str, code: int) -> int:
+    """Write output to --out or stdout and return code; a failed write is exit 1."""
+    try:
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(output)
+        else:
+            sys.stdout.write(output)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_EXIT
+    return code
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -450,19 +475,14 @@ def main(argv=None) -> int:
         return INVARIANT_EXIT
     except _LIMIT_ERRORS as exc:
         print(f"computation limit: {type(exc).__name__}: {exc}", file=sys.stderr)
+        if args.fmt == "json":  # a failed write is reported, but exit stays 2
+            _emit(args, _limit_report(exc), LIMIT_EXIT)
         return LIMIT_EXIT
     except (ValueError, argparse.ArgumentTypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    output = _render(args, results, rows, text)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(output)
-    else:
-        sys.stdout.write(output)
-    if args.command == "verify" and not results["passed"]:
-        return INVARIANT_EXIT
-    return 0
+    failed = args.command == "verify" and not results["passed"]
+    return _emit(args, _render(args, results, rows, text), INVARIANT_EXIT if failed else 0)
 
 
 if __name__ == "__main__":

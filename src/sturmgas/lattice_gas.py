@@ -82,25 +82,36 @@ class EnergyBreakdown:
 
 
 def energy_open(w: Word, spec: InteractionSpec) -> EnergyBreakdown:
-    """Energy of a free-boundary segment: all in-window terms, no wraparound."""
-    if len(w) - 1 > spec.profile.horizon:
+    """Energy of a free-boundary segment: all in-window terms, no wraparound.
+
+    The window is read once as an integer x (bit k is site k).  For each
+    forbidden distance j in `profile.forbidden`, x & (x >> j) has one set
+    bit per violating pair, so its popcount is that distance's pair count.
+    With decay_base = a/b the pair part is one integer numerator,
+    sum of count * a**j * b**(top - j), over b**top.
+    """
+    n = len(w)
+    if n - 1 > spec.profile.horizon:
         raise InsufficientProfileError(
-            f"profile horizon {spec.profile.horizon} < window span {len(w) - 1}"
+            f"profile horizon {spec.profile.horizon} < window span {n - 1}"
         )
-    forbidden = spec.profile.forbidden
-    lam = spec.decay_base
-    powers: dict[int, Fraction] = {}
-    ones = [k for k, ch in enumerate(w.symbols) if ch == "1"]
-    pair_part = Fraction(0)
+    a, b = spec.decay_base.numerator, spec.decay_base.denominator
+    x = int(w.symbols[::-1] or "0", 2)
+    distances = [j for j in spec.profile.forbidden if j < n]
+    top = max(distances, default=0)
+    numerator = 0
     pairs = []
-    for i, a in enumerate(ones):
-        for b in ones[i + 1 :]:
-            dist = b - a
-            if dist in forbidden:
-                if dist not in powers:
-                    powers[dist] = lam**dist
-                pair_part += powers[dist]
-                pairs.append((w.origin + a, w.origin + b, dist))
+    for j in distances:
+        hits = x & (x >> j)
+        if hits:
+            numerator += hits.bit_count() * a**j * b ** (top - j)
+            set_bits = format(hits, "b")[::-1]
+            k = set_bits.find("1")
+            while k != -1:
+                pairs.append((w.origin + k, w.origin + k + j, j))
+                k = set_bits.find("1", k + 1)
+    pairs.sort()
+    pair_part = Fraction(numerator, b**top)
     run_len = spec.zero_run_len
     runs = []
     target = "0" * run_len
@@ -196,9 +207,13 @@ def periodic_energy_density(
 ) -> PeriodicDensity:
     """Energy per site of the bi-infinite repetition of period_word.
 
-    The coupling tail past the truncation distance is dropped; every term
+    The coupling tail past the truncation distance T is dropped; every term
     is nonnegative, so the truncated sum is a certified lower bound, and
-    adding the geometric tail bound per particle gives the estimate.
+    adding the geometric tail bound per particle gives the estimate.  The
+    cell is one integer x (bit k is site k); the pairs at distance j depend
+    only on j mod p and number popcount(x & rot_j(x)).  With decay_base =
+    a/b the pair sum over forbidden j <= T (read from `profile.forbidden`)
+    is one integer numerator over b**T.
     """
     p = len(period_word)
     if p < 1:
@@ -206,30 +221,33 @@ def periodic_energy_density(
     tail_tol = Fraction(tail_tol)
     if tail_tol <= 0:
         raise ValueError("tail tolerance must be positive")
-    lam, beta = spec.decay_base, spec.zero_run_penalty
-    # smallest T with lam**(T+1)/(1-lam) < tail_tol
-    tail = lam / (1 - lam)
-    trunc = 0
-    while tail >= tail_tol:
-        tail *= lam
-        trunc += 1
+    a, b = spec.decay_base.numerator, spec.decay_base.denominator
+    # smallest T with lam**(T+1)/(1-lam) < tail_tol, in integers:
+    # a**(T+1) * tol_den < tol_num * b**T * (b-a)
+    trunc, lhs, rhs = 0, a * tail_tol.denominator, tail_tol.numerator * (b - a)
+    while lhs >= rhs:
+        lhs, rhs, trunc = lhs * a, rhs * b, trunc + 1
     profile = ensure_horizon(spec.profile, max(trunc, spec.profile.horizon))
-    bits = period_word.bits()
-    ones = [k for k, b in enumerate(bits) if b]
-    run_len = spec.zero_run_len
-    runs = sum(
-        1
-        for i in range(p)
-        if all(bits[(i + s) % p] == 0 for s in range(run_len))
-    )
-    pair_sum = Fraction(0)
-    power = Fraction(1)
+    x = int(period_word.symbols[::-1], 2)
+    mask = (1 << p) - 1
+
+    def rot(r: int) -> int:  # bit i of rot(r) is site (i + r) mod p
+        r %= p
+        return (x >> r | x << (p - r)) & mask
+
+    hits = [(x & rot(r)).bit_count() for r in range(p)]
+    covered = 0
+    for s in range(spec.zero_run_len):
+        covered |= rot(s)
+    runs = p - covered.bit_count()
+    numerator = 0
+    power = 1
     for j in range(1, trunc + 1):
-        power *= lam
+        power *= a
+        numerator *= b
         if j in profile.forbidden:
-            hits = sum(1 for i in ones if bits[(i + j) % p])
-            if hits:
-                pair_sum += hits * power
-    lower = (pair_sum + beta * runs) / p
-    estimate = lower + Fraction(len(ones), p) * tail
+            numerator += hits[j % p] * power
+    lower = (Fraction(numerator, b**trunc) + spec.zero_run_penalty * runs) / p
+    tail = Fraction(a ** (trunc + 1), b**trunc * (b - a))
+    estimate = lower + Fraction(hits[0], p) * tail
     return PeriodicDensity(lower, estimate, trunc)

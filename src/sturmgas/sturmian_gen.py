@@ -9,7 +9,6 @@ only boundary landings possible and they occur at most once each
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -52,14 +51,6 @@ class Word:
 
     def count(self, symbol: str) -> int:
         return self.symbols.count(symbol)
-
-    def to_json(self) -> str:
-        return json.dumps({"origin": self.origin, "symbols": self.symbols})
-
-    @classmethod
-    def from_json(cls, text: str) -> "Word":
-        obj = json.loads(text)
-        return cls(obj["symbols"], int(obj["origin"]))
 
 
 def symbol_at(params: RotationParams, i: int) -> int:

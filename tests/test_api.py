@@ -43,3 +43,20 @@ def test_every_import_is_used():
         used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         unused = [name for name in _imported_names(tree) if name not in used]
         assert not unused, f"{path.name} imports unused {unused}"
+
+
+def _identifiers(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_energy_route_never_reads_pattern_bits():
+    # the energy route reads profile.forbidden; forbidden_bits belongs to
+    # the pattern route, and sharing it would make the routes one
+    tree = ast.parse((SRC / "lattice_gas.py").read_text(encoding="utf-8"))
+    assert "forbidden_bits" not in set(_identifiers(tree))

@@ -5,10 +5,13 @@ import time
 
 import pytest
 
+import sturmgas.cli
 import sturmgas.verify
 from sturmgas.cli import build_parser, main
+from sturmgas.errors import InconclusiveError
 from sturmgas.exact_angle import GOLDEN, RotationParams
 from sturmgas.order_analysis import DistanceProfile, distance_profile
+from sturmgas.sturmian_gen import Word
 
 
 def run(capsys, *argv):
@@ -48,11 +51,53 @@ def test_generate_ratio_mode(capsys):
     assert set(out.strip()) <= {"0", "1"}
 
 
-def test_generate_ratio_mode_margin_failure_exit_two(capsys):
-    code, _, err = run(capsys, "generate", "--gamma", "ratio:13/21",
-                       "--from", "2", "--to", "400")
+def test_generate_ratio_mode_margin_failure_exit_two(capsys, tmp_path):
+    argv = ["generate", "--gamma", "ratio:13/21", "--from", "2", "--to", "400"]
+    code, out, err = run(capsys, *argv)
     assert code == 2
     assert "computation limit" in err
+    assert out == ""
+    # with --format json the failure is also reported on stdout or --out
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == 2
+    assert "computation limit: HorizonExceededError" in err
+    error = json.loads(out)["error"]
+    assert error["type"] == "HorizonExceededError"
+    assert "boundary margin" in error["message"]
+    assert error["info"] == {}
+    path = tmp_path / "report.json"
+    code, out, _ = run(capsys, *argv, "--format", "json", "--out", str(path))
+    assert code == 2 and out == ""
+    assert json.loads(path.read_text(encoding="utf-8")) == {"error": error}
+    # an unwritable --out is reported on stderr, not as a traceback
+    code, _, err = run(capsys, *argv, "--format", "json", "--out", str(tmp_path))
+    assert code == 2 and "error:" in err
+    code, _, err = run(capsys, "energy", "--word", "11", "--out", str(tmp_path))
+    assert code == 1 and "error:" in err
+
+
+def test_inconclusive_json_report_carries_info(capsys):
+    # four times the starting enclosing length 1026 exceeds the cap 4096
+    code, out, err = run(capsys, "characterize", "--n", "513", "--format", "json")
+    assert code == 2
+    assert "computation limit: InconclusiveError" in err
+    assert json.loads(out) == {
+        "error": {
+            "type": "InconclusiveError",
+            "message": "no stabilization below enclosing-length cap 4096",
+            "info": {"length_reached": 1026},
+        }
+    }
+
+
+def test_inconclusive_report_lists_partial_words(monkeypatch, capsys):
+    def give_up(n, profile):
+        raise InconclusiveError("budget", partial={Word("10"), Word("01")})
+
+    monkeypatch.setattr(sturmgas.cli, "enumerate_legal_stable", give_up)
+    code, out, _ = run(capsys, "characterize", "--n", "2", "--format", "json")
+    assert code == 2
+    assert json.loads(out)["error"]["info"] == {"partial": ["01", "10"]}
 
 
 def test_ratio_mode_rejected_outside_generate(capsys):

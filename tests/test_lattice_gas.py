@@ -1,5 +1,6 @@
 """Couplings, exact energies, exhaustive ground states, periodic densities."""
 
+import random
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -9,9 +10,11 @@ import sturmgas.lattice_gas
 from sturmgas.errors import InsufficientProfileError, InternalConsistencyError
 from sturmgas.exact_angle import GOLDEN, QI_ZERO, RotationParams, parse_qi
 from sturmgas.sturmian_gen import Word, generate
-from sturmgas.order_analysis import distance_profile
+from sturmgas.order_analysis import distance_profile, ensure_horizon
 from sturmgas.characterization import enumerate_legal, is_locally_legal
 from sturmgas.lattice_gas import (
+    EnergyBreakdown,
+    PeriodicDensity,
     build_interaction,
     energy_open,
     ground_state_search,
@@ -21,6 +24,65 @@ from sturmgas.lattice_gas import (
 FIB = RotationParams(GOLDEN, GOLDEN)
 PROFILE = distance_profile(FIB, 200)
 SPEC = build_interaction(PROFILE, Fraction(1, 2), Fraction(1))
+
+#: the four panel angles: golden, sqrt2/2, sqrt3-1, (1+sqrt3)/4
+PANEL = ("fib", "0,1,2,2", "-1,1,1,3", "1,1,4,3")
+DECAYS = (Fraction(1, 2), Fraction(1, 4), Fraction(2, 3))
+
+
+def _panel_params(gamma):
+    return FIB if gamma == "fib" else RotationParams(parse_qi(gamma), QI_ZERO)
+
+
+def _reference_energy_open(w, spec):
+    """Brute-force oracle: the O(ones**2) pair loop summing Fraction powers."""
+    forbidden = spec.profile.forbidden
+    lam = spec.decay_base
+    ones = [k for k, ch in enumerate(w.symbols) if ch == "1"]
+    pair_part = Fraction(0)
+    pairs = []
+    for i, a in enumerate(ones):
+        for b in ones[i + 1 :]:
+            if b - a in forbidden:
+                pair_part += lam ** (b - a)
+                pairs.append((w.origin + a, w.origin + b, b - a))
+    runs = []
+    target = "0" * spec.zero_run_len
+    pos = w.symbols.find(target)
+    while pos != -1:
+        runs.append(w.origin + pos)
+        pos = w.symbols.find(target, pos + 1)
+    zero_run_part = spec.zero_run_penalty * len(runs)
+    return EnergyBreakdown(
+        pair_part + zero_run_part, pair_part, zero_run_part, tuple(pairs), tuple(runs)
+    )
+
+
+def _reference_periodic_density(period_word, spec, tail_tol):
+    """Brute-force oracle: one Fraction power and one site scan per distance."""
+    p = len(period_word)
+    lam = spec.decay_base
+    tail = lam / (1 - lam)
+    trunc = 0
+    while tail >= tail_tol:
+        tail *= lam
+        trunc += 1
+    profile = ensure_horizon(spec.profile, max(trunc, spec.profile.horizon))
+    bits = period_word.bits()
+    ones = [k for k, b in enumerate(bits) if b]
+    runs = sum(
+        1
+        for i in range(p)
+        if all(bits[(i + s) % p] == 0 for s in range(spec.zero_run_len))
+    )
+    pair_sum = Fraction(0)
+    power = Fraction(1)
+    for j in range(1, trunc + 1):
+        power *= lam
+        if j in profile.forbidden:
+            pair_sum += sum(1 for i in ones if bits[(i + j) % p]) * power
+    lower = (pair_sum + spec.zero_run_penalty * runs) / p
+    return PeriodicDensity(lower, lower + Fraction(len(ones), p) * tail, trunc)
 
 
 def test_couplings_on_forbidden_distances_only():
@@ -87,6 +149,65 @@ def test_energy_breakdown_adds_up():
 def test_energy_needs_covering_horizon():
     with pytest.raises(InsufficientProfileError):
         energy_open(generate(FIB, 0, 500), SPEC)
+
+
+@pytest.mark.parametrize("gamma", PANEL)
+def test_energy_open_matches_reference(gamma):
+    # every field, violating_pairs order included, over clean, defected and
+    # random windows; the oracle's pair loop is quadratic in the particle
+    # count, so the 2000-site random window is sparse
+    params = _panel_params(gamma)
+    profile = distance_profile(params, 2000)
+    rng = random.Random(gamma)
+    words = [Word("")] + [
+        Word(format(x, f"0{n}b"), 3) for n in (1, 2, 3) for x in range(1 << n)
+    ]
+    for n in (17, 200, 2000):
+        clean = generate(params, 41, 40 + n)
+        damaged = list(clean.symbols)
+        for k in rng.sample(range(n), 3):
+            damaged[k] = "1" if damaged[k] == "0" else "0"
+        words += [clean, Word("".join(damaged), 41)]
+    for n, density in ((17, 0.5), (200, 0.5), (2000, 0.03125)):
+        symbols = "".join("1" if rng.random() < density else "0" for _ in range(n))
+        words.append(Word(symbols, -n // 2))
+    for decay in DECAYS:
+        for penalty in (Fraction(1), Fraction(3, 2)):
+            spec = build_interaction(profile, decay, penalty)
+            for w in words:
+                assert energy_open(w, spec) == _reference_energy_open(w, spec), (
+                    decay,
+                    penalty,
+                    w,
+                )
+
+
+@pytest.mark.parametrize("gamma", PANEL)
+def test_periodic_density_matches_reference(gamma):
+    # every cell of period <= 8; the three tolerances take turns by cell
+    profile = distance_profile(_panel_params(gamma), 200)
+    tolerances = [Fraction(1, 10**12), Fraction(1, 10**9), Fraction(1, 10**3)]
+    turn = 0
+    for decay in DECAYS:
+        spec = build_interaction(profile, decay, Fraction(3, 2))
+        for p in range(1, 9):
+            for content in range(1 << p):
+                cell = Word(format(content, f"0{p}b"))
+                tol = tolerances[turn % 3]
+                turn += 1
+                expected = _reference_periodic_density(cell, spec, tol)
+                assert periodic_energy_density(cell, spec, tol) == expected, (
+                    decay,
+                    tol,
+                    cell,
+                )
+
+
+def test_periodic_density_rejects_bad_input():
+    with pytest.raises(ValueError):
+        periodic_energy_density(Word(""), SPEC)
+    with pytest.raises(ValueError):
+        periodic_energy_density(Word("10"), SPEC, tail_tol=Fraction(0))
 
 
 def test_energies_are_exact_fractions():
