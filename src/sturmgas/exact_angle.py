@@ -56,6 +56,20 @@ def _sign_surd(a: int, b: int, d: int) -> int:
     return (t < 0) - (t > 0)  # a < 0, b > 0
 
 
+def _floor_surd(a: int, b: int, c: int, d: int, shift: int = 0) -> int:
+    """Exact floor of (a + b*sqrt(d))/c * 2**shift, for c > 0.
+
+    With b != 0, d must not be a perfect square.  Then b*sqrt(d)*2**shift is
+    irrational and lies strictly between f and f + 1 (b > 0) or between
+    -f - 1 and -f (b < 0), f = isqrt(b*b*d << 2*shift); adding a value
+    strictly inside (0, 1) to an integer never changes its floor over c.
+    """
+    if b == 0:
+        return (a << shift) // c
+    f = isqrt(b * b * d << 2 * shift)
+    return ((a << shift) + (f if b > 0 else -f - 1)) // c
+
+
 @total_ordering
 @dataclass(frozen=True)
 class QuadIrrational:
@@ -191,17 +205,8 @@ class QuadIrrational:
     # --- integer part ---
 
     def floor(self) -> int:
-        """Greatest integer <= value, via integer square-root bounds."""
-        if self.b == 0:
-            return self.a // self.c
-        f = isqrt(self.b * self.b * self.d)
-        # b*sqrt(d) lies in [f, f+1) for b > 0, in (-f-1, -f] for b < 0.
-        n = (self.a + f) // self.c if self.b > 0 else (self.a - f - 1) // self.c
-        while (self - n).sign() < 0:
-            n -= 1
-        while (self - (n + 1)).sign() >= 0:
-            n += 1
-        return n
+        """Greatest integer <= value."""
+        return _floor_surd(self.a, self.b, self.c, self.d)
 
     def frac(self) -> "QuadIrrational":
         return self - self.floor()

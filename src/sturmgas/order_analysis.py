@@ -207,11 +207,14 @@ class DistanceProfile:
 
     def check_increments(self) -> None:
         """Increments of d must be d1 or d1 + 1; anything else is corrupt."""
+        if len(self.d) < 2:
+            return
+        d1 = self.d1
         for prev, nxt in zip(self.d, self.d[1:]):
-            if nxt - prev not in (self.d1, self.d1 + 1):
+            if nxt - prev not in (d1, d1 + 1):
                 raise InternalConsistencyError(
                     f"spacing step {nxt - prev} between {prev} and {nxt} "
-                    f"is not {self.d1} or {self.d1 + 1}"
+                    f"is not {d1} or {d1 + 1}"
                 )
 
     def to_json(self) -> str:

@@ -5,16 +5,25 @@ frac(psi + i*gamma) lies in [0, gamma), else 1.  A landing exactly on 0 is
 therefore coded 0 and a landing exactly on gamma is coded 1; those are the
 only boundary landings possible and they occur at most once each
 (see RotationParams.endpoint_hits).
+
+generate brackets each point in one 64-bit fixed-point pass; that settles
+every symbol whose point lies farther than (n + 1) * 2**-64 from both
+boundaries, and each of the few others gets the exact surd sign.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+
+import numpy as np
 
 from .errors import HorizonExceededError
-from .exact_angle import QuadIrrational, RotationParams, _sign_surd, convergents, rotate
+from .exact_angle import QuadIrrational, RotationParams, _floor_surd, _sign_surd, convergents, rotate
+
+#: maps generate's 0/1 bytes to the digits "0"/"1"
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 @dataclass(frozen=True)
@@ -47,7 +56,8 @@ class Word:
 
     def one_positions(self) -> list[int]:
         """Lattice indices carrying symbol 1."""
-        return [self.origin + k for k, ch in enumerate(self.symbols) if ch == "1"]
+        ones = np.flatnonzero(np.frombuffer(self.symbols.encode(), dtype=np.uint8) == ord("1"))
+        return [self.origin + k for k in ones.tolist()]  # exact for any origin
 
     def count(self, symbol: str) -> int:
         return self.symbols.count(symbol)
@@ -60,25 +70,39 @@ def symbol_at(params: RotationParams, i: int) -> int:
 
 
 def generate(params: RotationParams, i_from: int, i_to: int) -> Word:
-    """Word of symbols for indices i_from..i_to inclusive, origin i_from."""
+    """Word of symbols for indices i_from..i_to inclusive, origin i_from.
+
+    With x the exact point of index i_from, G = floor(gamma * 2**64) and
+    P_t = (floor(x * 2**64) + t*G) mod 2**64, both floors err by less than
+    1, so offset t's scaled point is P_t + e_t (mod 2**64), e_t in [0, t + 1).
+    With the margin n + 1 of an n-symbol window, symbol 0 is certain when
+    P_t + n + 1 <= G and symbol 1 when P_t > G and P_t + n + 1 < 2**64.
+    Every other offset (at most two exact boundary landings, and points
+    within (n + 1) * 2**-64 of 0 or gamma) is decided exactly: its wrap
+    count by an integer floor, its side of gamma by the surd sign.
+    """
     if i_from > i_to:
         raise ValueError(f"empty window: {i_from} > {i_to}")
-    g = params.gamma
+    g, psi = params.gamma, params.psi
     d = g.d
-    start = rotate(params.psi, g, i_from) if i_from else params.psi  # psi is in [0, 1)
-    # Walk the orbit with raw integer coefficients over one fixed
-    # denominator; normalizing a QuadIrrational per step would dominate.
-    c = g.c * start.c // gcd(g.c, start.c)
+    n = i_to - i_from + 1
+    # psi + (i_from + t)*gamma = (a + t*ga + (b + t*gb)*sqrt(d))/c exactly
+    c = g.c * psi.c // gcd(g.c, psi.c)
     ga, gb = g.a * (c // g.c), g.b * (c // g.c)
-    pa, pb = start.a * (c // start.c), start.b * (c // start.c)
-    out = []
-    for _ in range(i_to - i_from + 1):
-        out.append("0" if _sign_surd(pa - ga, pb - gb, d) < 0 else "1")
-        pa += ga
-        pb += gb
-        if _sign_surd(pa - c, pb, d) >= 0:  # wrapped past 1
-            pa -= c
-    return Word("".join(out), i_from)
+    a, b = psi.a * (c // psi.c) + i_from * ga, psi.b * (c // psi.c) + i_from * gb
+    G = np.uint64(_floor_surd(ga, gb, c, d, 64))
+    p = np.arange(n, dtype=np.uint64)
+    p *= G
+    p += np.uint64(_floor_surd(a, b, c, d, 64) % 2**64)
+    out = p > G
+    p += n + 1
+    unsure = p > G
+    unsure ^= out
+    for t in unsure.nonzero()[0].tolist():
+        at, bt = a + t * ga, b + t * gb
+        at -= _floor_surd(at, bt, c, d) * c  # wrap into [0, 1)
+        out[t] = _sign_surd(at - ga, bt - gb, d) >= 0
+    return Word(out.tobytes().translate(_DIGITS).decode(), i_from)
 
 
 def fibonacci_substitution(n: int) -> Word:
@@ -125,11 +149,6 @@ class ApproxRotation:
         raise ValueError(f"no usable convergent with q >= {min_q}")
 
 
-def _circle_distance(x: Fraction, y: Fraction) -> Fraction:
-    d = abs(x - y) % 1
-    return min(d, 1 - d)
-
-
 def generate_approx(
     approx: ApproxRotation, psi_num: Fraction, i_from: int, i_to: int
 ) -> Word:
@@ -140,27 +159,31 @@ def generate_approx(
     |i - 1| * err_bound (the boundary itself shifts with the angle), so
     clearing both strictly pins the true point to the same side of each.
     A landing exactly on 0 at index 0 is the one certifiable boundary hit:
-    0 is inside the lower arc for every angle.
+    0 is inside the lower arc for every angle.  Points are integer
+    numerators over one common denominator.
     """
     if i_from > i_to:
         raise ValueError(f"empty window: {i_from} > {i_to}")
     psi_num = Fraction(psi_num) % 1
-    gam = approx.value
+    den = lcm(psi_num.denominator, approx.q)
+    gam = approx.p * (den // approx.q)
+    x = (psi_num.numerator * (den // psi_num.denominator) + i_from * gam) % den
+    # a margin m/den is at most |i| * err_bound iff m * err_den <= |i| * err_num
+    err_num = approx.err_bound.numerator * den
+    err_den = approx.err_bound.denominator
     out = []
     for i in range(i_from, i_to + 1):
-        point = (psi_num + i * gam) % 1
-        if point == 0 and i == 0:
-            out.append("0")
-            continue
-        margin_zero = _circle_distance(point, Fraction(0))
-        margin_gam = _circle_distance(point, gam)
-        if margin_zero <= abs(i) * approx.err_bound or margin_gam <= abs(
-            i - 1
-        ) * approx.err_bound:
-            raise HorizonExceededError(
-                f"boundary margin insufficient at index {i}; "
-                "shrink the window or use a finer approximant",
-                first_bad_index=i,
-            )
-        out.append("0" if point < gam else "1")
+        if x or i:  # a landing on 0 at index 0 needs no margin
+            to_zero = min(x, den - x)
+            to_gam = min((x - gam) % den, (gam - x) % den)
+            if to_zero * err_den <= abs(i) * err_num or to_gam * err_den <= abs(i - 1) * err_num:
+                raise HorizonExceededError(
+                    f"boundary margin insufficient at index {i}; "
+                    "shrink the window or use a finer approximant",
+                    first_bad_index=i,
+                )
+        out.append("0" if x < gam else "1")
+        x += gam
+        if x >= den:
+            x -= den
     return Word("".join(out), i_from)

@@ -60,3 +60,18 @@ def test_energy_route_never_reads_pattern_bits():
     # the pattern route, and sharing it would make the routes one
     tree = ast.parse((SRC / "lattice_gas.py").read_text(encoding="utf-8"))
     assert "forbidden_bits" not in set(_identifiers(tree))
+
+
+#: numpy's floating-point scalar types and dtype codes
+NUMPY_FLOATS = {"half", "single", "double", "longdouble", "floating", "float_", "f2", "f4", "f8", "f16"}
+
+
+def test_generate_decides_in_integers():
+    # symbol_at is the independent oracle generate is tested against, and
+    # every coding decision is exact: no float, no numpy float type
+    tree = ast.parse((SRC / "sturmian_gen.py").read_text(encoding="utf-8"))
+    gen = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "generate")
+    names = set(_identifiers(gen))
+    assert "symbol_at" not in names
+    floats = {n for n in names if n.startswith("float") or n in NUMPY_FLOATS}
+    assert not floats, floats

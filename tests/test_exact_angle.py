@@ -12,6 +12,7 @@ from sturmgas.exact_angle import (
     QI_ZERO,
     QuadIrrational,
     RotationParams,
+    _floor_surd,
     continued_fraction,
     convergents,
     parse_qi,
@@ -129,6 +130,9 @@ def test_floor_frac_consistency():
         f = x.frac()
         assert f.sign() >= 0 and (f - 1).sign() < 0
         assert x == x.floor() + f
+        # the fixed-point floor generate scales its points by
+        rest = x * 2**64 - _floor_surd(x.a, x.b, x.c, x.d, 64)
+        assert rest.sign() >= 0 and (rest - 1).sign() < 0
 
 
 def test_rotation_group_action():

@@ -1,6 +1,8 @@
 """Rotation coding, the substitution oracle, and certified approximation."""
 
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -11,6 +13,8 @@ from sturmgas.exact_angle import (
     QI_ZERO,
     QuadIrrational,
     RotationParams,
+    _sign_surd,
+    parse_qi,
     qi_make,
     rotate,
 )
@@ -25,6 +29,88 @@ from sturmgas.sturmian_gen import (
 
 FIB = RotationParams(GOLDEN, GOLDEN)
 PHASE0 = RotationParams(GOLDEN, QI_ZERO)
+
+#: the four panel angles and two whose first distance exceeds 200
+ORACLE_ANGLES = ("fib", "0,1,2,2", "-1,1,1,3", "1,1,4,3", "998,1,1000,2", "89698,1,89998,2")
+
+
+def _reference_generate(params, i_from, i_to):
+    """Oracle: the per-symbol exact walk, two surd signs per symbol."""
+    g = params.gamma
+    d = g.d
+    start = rotate(params.psi, g, i_from) if i_from else params.psi
+    c = g.c * start.c // gcd(g.c, start.c)
+    ga, gb = g.a * (c // g.c), g.b * (c // g.c)
+    pa, pb = start.a * (c // start.c), start.b * (c // start.c)
+    out = []
+    for _ in range(i_to - i_from + 1):
+        out.append("0" if _sign_surd(pa - ga, pb - gb, d) < 0 else "1")
+        pa += ga
+        pb += gb
+        if _sign_surd(pa - c, pb, d) >= 0:  # wrapped past 1
+            pa -= c
+    return Word("".join(out), i_from)
+
+
+def _oracle_phases(gamma, rng):
+    """0, gamma, 1 - gamma, frac(k*gamma) for k in {-7, 2, 123457}, 1/2, two k/997."""
+    lattice = [rotate(QI_ZERO, gamma, k) for k in (-7, 2, 123457)]
+    rational = [Fraction(1, 2)] + [Fraction(rng.randrange(1, 997), 997) for _ in range(2)]
+    return [QI_ZERO, gamma, QI_ONE - gamma, *lattice] + [
+        QuadIrrational.from_fraction(r) for r in rational
+    ]
+
+
+def _oracle_windows(params):
+    """Short, straddling, negative and far windows, plus both boundary landings
+    at the first and at the last index of a window."""
+    windows = [(0, 0), (5, 6), (-1, 0), (-40, 40), (-300, -200), (0, 299)]
+    windows += [(s, s + 63) for s in (-100_003, 99_991)]
+    hits = params.endpoint_hits()
+    if hits is not None:
+        for i in hits:
+            windows += [(i, i), (i, i + 1), (i - 1, i), (i, i + 37), (i - 37, i)]
+    return windows
+
+
+def _assert_matches_reference(params, i_from, i_to):
+    got, want = generate(params, i_from, i_to), _reference_generate(params, i_from, i_to)
+    assert (got.symbols, got.origin) == (want.symbols, want.origin), (params, i_from, i_to)
+
+
+@pytest.mark.parametrize("gamma", ORACLE_ANGLES)
+def test_generate_matches_reference_walk(gamma):
+    g = parse_qi(gamma)
+    rng = random.Random(gamma)
+    for psi in _oracle_phases(g, rng):
+        params = RotationParams(g, psi)
+        for i_from, i_to in _oracle_windows(params):
+            _assert_matches_reference(params, i_from, i_to)
+
+
+def test_generate_matches_reference_on_long_window():
+    phase = QuadIrrational.from_fraction(Fraction(random.Random(9).randrange(1, 997), 997))
+    _assert_matches_reference(RotationParams(parse_qi("0,1,2,2"), phase), -50_000, 49_999)
+
+
+@pytest.mark.parametrize("gamma", ORACLE_ANGLES)
+def test_generate_near_miss_is_decided_exactly(gamma):
+    # a rational phase within 10**-16 of the phase whose orbit lands on 0 at
+    # index k: index k falls just off 0 and index k + 1 just off gamma, both
+    # closer than the fixed-point margin (n + 1) * 2**-64, without landing
+    g = parse_qi(gamma)
+    k, n = 1234, 4000
+    scale = 10**17
+    exact = rotate(QI_ZERO, g, -k)
+    below = Fraction((exact * scale).floor(), scale)
+    margin = QuadIrrational.from_fraction(Fraction(n + 1, 2**64))
+    for r in (below, below + Fraction(1, scale)):
+        params = RotationParams(g, QuadIrrational.from_fraction(r))
+        assert params.endpoint_hits() is None
+        for i, boundary in ((k, QI_ZERO), (k + 1, g)):
+            off = (rotate(params.psi, g, i) - boundary).frac()
+            assert off.sign() > 0 and min(off, QI_ONE - off) < margin
+        _assert_matches_reference(params, 0, n - 1)
 
 
 def test_word_alphabet_checked():
@@ -175,3 +261,58 @@ def test_approx_boundary_return_refused():
     with pytest.raises(HorizonExceededError) as err:
         generate_approx(approx, Fraction(0), 2, 40)
     assert err.value.first_bad_index == 21
+
+
+def _circle_distance(x, y):
+    d = abs(x - y) % 1
+    return min(d, 1 - d)
+
+
+def _reference_generate_approx(approx, psi_num, i_from, i_to):
+    """Oracle: the per-index Fraction loop generate_approx used before."""
+    psi_num = Fraction(psi_num) % 1
+    gam = approx.value
+    out = []
+    for i in range(i_from, i_to + 1):
+        point = (psi_num + i * gam) % 1
+        if point == 0 and i == 0:
+            out.append("0")
+            continue
+        margin_zero = _circle_distance(point, Fraction(0))
+        margin_gam = _circle_distance(point, gam)
+        if margin_zero <= abs(i) * approx.err_bound or margin_gam <= abs(
+            i - 1
+        ) * approx.err_bound:
+            raise HorizonExceededError(
+                f"boundary margin insufficient at index {i}; "
+                "shrink the window or use a finer approximant",
+                first_bad_index=i,
+            )
+        out.append("0" if point < gam else "1")
+    return Word("".join(out), i_from)
+
+
+def _approx_outcome(fn, *args):
+    try:
+        w = fn(*args)
+    except HorizonExceededError as err:
+        return ("refused", str(err), err.first_bad_index)
+    return ("word", w.symbols, w.origin)
+
+
+@pytest.mark.parametrize("gamma", ORACLE_ANGLES)
+def test_approx_matches_reference_loop(gamma):
+    rng = random.Random(gamma)
+    g = parse_qi(gamma)
+    approxes = [ApproxRotation.from_convergents(g, q) for q in (2, 50, 2000)]
+    approxes.append(ApproxRotation(approxes[-1].p, approxes[-1].q, Fraction(1, 10**3)))
+    phases = [Fraction(0), Fraction(1, 2), Fraction(-3, 7), Fraction(22, 7)]
+    phases += [Fraction(rng.randrange(0, 997), 997) for _ in range(3)]
+    windows = [(0, 0), (1, 1), (-1, 0), (0, 1), (2, 40), (-60, -2), (-25, 25), (300, 420)]
+    for approx in approxes:
+        for psi in phases + [approx.value, 1 - approx.value]:
+            for i_from, i_to in windows:
+                args = (approx, psi, i_from, i_to)
+                assert _approx_outcome(generate_approx, *args) == _approx_outcome(
+                    _reference_generate_approx, *args
+                ), args
