@@ -57,13 +57,9 @@ def _sign_surd(a: int, b: int, d: int) -> int:
 
 
 def _floor_surd(a: int, b: int, c: int, d: int, shift: int = 0) -> int:
-    """Exact floor of (a + b*sqrt(d))/c * 2**shift, for c > 0.
-
-    With b != 0, d must not be a perfect square.  Then b*sqrt(d)*2**shift is
-    irrational and lies strictly between f and f + 1 (b > 0) or between
-    -f - 1 and -f (b < 0), f = isqrt(b*b*d << 2*shift); adding a value
-    strictly inside (0, 1) to an integer never changes its floor over c.
-    """
+    """Exact floor of (a + b*sqrt(d))/c * 2**shift, for c > 0 and, if b != 0,
+    d not a square: b*sqrt(d)*2**shift then lies strictly inside (f, f + 1) or
+    (-f - 1, -f) for f below, and a part inside (0, 1) never moves the floor."""
     if b == 0:
         return (a << shift) // c
     f = isqrt(b * b * d << 2 * shift)

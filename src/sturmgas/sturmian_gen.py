@@ -5,10 +5,6 @@ frac(psi + i*gamma) lies in [0, gamma), else 1.  A landing exactly on 0 is
 therefore coded 0 and a landing exactly on gamma is coded 1; those are the
 only boundary landings possible and they occur at most once each
 (see RotationParams.endpoint_hits).
-
-generate brackets each point in one 64-bit fixed-point pass; that settles
-every symbol whose point lies farther than (n + 1) * 2**-64 from both
-boundaries, and each of the few others gets the exact surd sign.
 """
 
 from __future__ import annotations
@@ -75,11 +71,11 @@ def generate(params: RotationParams, i_from: int, i_to: int) -> Word:
     With x the exact point of index i_from, G = floor(gamma * 2**64) and
     P_t = (floor(x * 2**64) + t*G) mod 2**64, both floors err by less than
     1, so offset t's scaled point is P_t + e_t (mod 2**64), e_t in [0, t + 1).
-    With the margin n + 1 of an n-symbol window, symbol 0 is certain when
-    P_t + n + 1 <= G and symbol 1 when P_t > G and P_t + n + 1 < 2**64.
-    Every other offset (at most two exact boundary landings, and points
-    within (n + 1) * 2**-64 of 0 or gamma) is decided exactly: its wrap
-    count by an integer floor, its side of gamma by the surd sign.
+    With the margin n + 1 of an n-symbol window and no wrap past 2**64 in
+    P_t + n + 1, symbol 0 is certain when P_t + n + 1 <= G and symbol 1 when
+    P_t > G.  Every other offset (at most two exact boundary landings, and
+    points within (n + 1) * 2**-64 of 0 or gamma) is decided exactly: its
+    wrap count by an integer floor, its side of gamma by the surd sign.
     """
     if i_from > i_to:
         raise ValueError(f"empty window: {i_from} > {i_to}")
@@ -98,6 +94,7 @@ def generate(params: RotationParams, i_from: int, i_to: int) -> Word:
     p += n + 1
     unsure = p > G
     unsure ^= out
+    unsure |= p <= n  # P_t + n + 1 wrapped past 2**64
     for t in unsure.nonzero()[0].tolist():
         at, bt = a + t * ga, b + t * gb
         at -= _floor_surd(at, bt, c, d) * c  # wrap into [0, 1)

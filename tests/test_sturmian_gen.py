@@ -30,8 +30,17 @@ from sturmgas.sturmian_gen import (
 FIB = RotationParams(GOLDEN, GOLDEN)
 PHASE0 = RotationParams(GOLDEN, QI_ZERO)
 
-#: the four panel angles and two whose first distance exceeds 200
-ORACLE_ANGLES = ("fib", "0,1,2,2", "-1,1,1,3", "1,1,4,3", "998,1,1000,2", "89698,1,89998,2")
+#: the four panel angles, two whose first distance exceeds 200, and one within
+#: 2**-64 of 1, where P_t + n + 1 wraps past 2**64 just below gamma
+ORACLE_ANGLES = (
+    "fib",
+    "0,1,2,2",
+    "-1,1,1,3",
+    "1,1,4,3",
+    "998,1,1000,2",
+    "89698,1,89998,2",
+    "-1311738121,3166815962,3166815962,2",
+)
 
 
 def _reference_generate(params, i_from, i_to):
