@@ -38,7 +38,7 @@ from .order_analysis import (
 )
 from .discrepancy import component_intervals, frequency, strict_boundary_check
 from .characterization import enumerate_legal_stable, periodic_exclusion
-from .lattice_gas import build_interaction, energy_open, ground_state_search
+from .lattice_gas import SEARCH_CAP, build_interaction, energy_open, ground_state_search
 from .verify import SUITES, run_suites
 
 USAGE_EXIT = 1
@@ -148,7 +148,7 @@ def build_parser() -> _Parser:
     p.add_argument("--decay", type=_fraction, default=Fraction(1, 2))
     p.add_argument("--penalty", type=_fraction, default=Fraction(1))
 
-    p = add_parser("ground-state", "exhaustive minimum over all configurations")
+    p = add_parser("ground-state", "certified minimum over all configurations")
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--decay", type=_fraction, default=Fraction(1, 2))
     p.add_argument("--penalty", type=_fraction, default=Fraction(1))
@@ -355,7 +355,9 @@ def cmd_energy(args):
 
 
 def cmd_ground_state(args):
-    profile = distance_profile(_exact_params(args), max(args.horizon, args.length))
+    # the search refuses a length above its cap: build no profile that long first
+    horizon = max(args.horizon, min(args.length, SEARCH_CAP))
+    profile = distance_profile(_exact_params(args), horizon)
     spec = build_interaction(profile, args.decay, args.penalty)
     result = ground_state_search(args.length, spec)
     words = sorted(w.symbols for w in result.argmin)

@@ -10,20 +10,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import InsufficientProfileError, InternalConsistencyError
 from .order_analysis import DistanceProfile, ensure_horizon
 from .characterization import enumerate_legal
 from .sturmian_gen import Word
 
-#: exhaustive scans refuse beyond this length; use the pruned legal-word
-#: enumeration in `characterization` for longer windows
-EXHAUSTIVE_CAP = 24
-
-#: configurations per vectorized block of the exhaustive scan; bounds its
-#: working memory independently of the length
-SCAN_BLOCK = 1 << 16
+#: longest `ground_state_search` window: its cross-check enumerate_legal(L, L)
+#: keeps about L**2/16 bytes of big-int prefixes on its stack, too many at 10**6
+SEARCH_CAP = 1000
 
 
 @dataclass(frozen=True)
@@ -137,58 +131,61 @@ class GroundStateResult:
 
 
 def ground_state_search(length: int, spec: InteractionSpec) -> GroundStateResult:
-    """Exhaustive minimum over all 2**length free-boundary configurations.
+    """Certified minimum over all 2**length free-boundary configurations.
 
-    Every energy term is nonnegative and every coupling and the penalty is
-    strictly positive, so the minimum is exactly zero iff some configuration
-    has no positive term, and the argmin is that zero set.  A numpy bitmask
-    scan (bit k of x is site k) finds it in blocks of SCAN_BLOCK: x has a
-    positive term iff x & (x >> j) != 0 for a forbidden j < length, or the
-    complement of x | x>>1 | ... | x>>(zero_run_len-1) is nonzero at some
-    run start inside the window.  Two independent certifications follow:
-    the zero set must equal the depth-first legal words of
-    `enumerate_legal(length, length)` (pattern route), and each minimizer's
-    exact `energy_open` total must be 0.
+    Energy terms are nonnegative, so a prefix with a positive term has
+    positive energy in all its completions.  A depth-first search prunes the
+    child at site k when a new 1 lies a forbidden distance after a 1 (witness:
+    the smallest such j, re-checked as coupling(j) > 0) or a new 0 completes
+    a run of zero_run_len vacancies (re-checked as zero_run_penalty > 0).
+    That child stands for 2**(length - k - 1) states, a leaf for one, and
+    they must sum to 2**length.  The leaves, the zero set, must equal
+    `enumerate_legal(length, length)` (run first: its horizon check and node
+    budget also bound this search) and have exact `energy_open` total 0.
     """
-    if not 1 <= length <= EXHAUSTIVE_CAP:
+    if not 1 <= length <= SEARCH_CAP:
         raise ValueError(
-            f"refusing exhaustive scan at length {length} (cap {EXHAUSTIVE_CAP}); "
+            f"refusing ground-state search at length {length} (cap {SEARCH_CAP}); "
             "use enumerate_legal for longer windows"
         )
-    if spec.profile.horizon < length - 1:
-        raise InsufficientProfileError(
-            f"profile horizon {spec.profile.horizon} < {length - 1}"
-        )
-    distances = [j for j in sorted(spec.profile.forbidden) if j < length]
+    legal = enumerate_legal(length, length, spec.profile)
+    # bits is the prefix, site 0 most significant: bit j - 1 is j sites before the next
+    pair_mask = sum(1 << (j - 1) for j in spec.profile.forbidden if j < length)
     run_len = spec.zero_run_len
-    run_window = (1 << (length - run_len + 1)) - 1 if length >= run_len else 0
-    total = 1 << length
-    zero: list[int] = []
-    for lo in range(0, total, SCAN_BLOCK):
-        x = np.arange(lo, min(lo + SCAN_BLOCK, total), dtype=np.uint32)
-        positive = np.zeros(x.shape, dtype=bool)
-        for j in distances:
-            positive |= (x & (x >> j)) != 0
-        if run_window:
-            covered = x.copy()
-            for s in range(1, run_len):
-                covered |= x >> s
-            positive |= (~covered & run_window) != 0
-        zero.extend(x[~positive].tolist())
-    if not zero:
-        raise InternalConsistencyError(
-            f"no zero-energy configuration at length {length}: minimum is positive"
-        )
-    words = frozenset(Word(format(x, f"0{length}b")[::-1]) for x in zero)
-    if words != enumerate_legal(length, length, spec.profile):
-        raise InternalConsistencyError(
-            "zero-energy configurations differ from locally legal ones"
-        )
+    pruned = [0] * length  # children pruned at each site
+    witnesses = set()  # smallest forbidden distance per pair pruning; 0: a run
+    leaves = []
+    stack = [(0, 0, 0)]  # (depth, trailing zeros, bits)
+    while stack:
+        depth, zero_run, bits = stack.pop()
+        if depth == length:
+            leaves.append(bits)
+            continue
+        hits = bits & pair_mask
+        if hits:
+            witnesses.add((hits & -hits).bit_length())
+            pruned[depth] += 1
+        else:
+            stack.append((depth + 1, 0, bits << 1 | 1))
+        if zero_run + 1 < run_len:
+            stack.append((depth + 1, zero_run + 1, bits << 1))
+        else:
+            witnesses.add(0)
+            pruned[depth] += 1
+    for j in witnesses:
+        if not (spec.coupling(j) if j else spec.zero_run_penalty) > 0:
+            raise InternalConsistencyError(f"pruned on a zero term (witness {j})")
+    total = len(leaves) + sum(c << (length - k - 1) for k, c in enumerate(pruned))
+    if total != 1 << length:
+        raise InternalConsistencyError(f"search covered {total} of 2**{length} states")
+    if not leaves:
+        raise InternalConsistencyError(f"no zero-energy state at length {length}")
+    words = frozenset(Word(format(x, f"0{length}b")) for x in leaves)
+    if words != legal:
+        raise InternalConsistencyError("zero set differs from the locally legal words")
     nonzero = sorted(w.symbols for w in words if energy_open(w, spec).total != 0)
     if nonzero:
-        raise InternalConsistencyError(
-            f"bitmask minimizers with nonzero exact energy: {nonzero[:3]}"
-        )
+        raise InternalConsistencyError(f"minimizers with nonzero energy: {nonzero[:3]}")
     return GroundStateResult(Fraction(0), words, total)
 
 

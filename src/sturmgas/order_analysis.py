@@ -68,8 +68,8 @@ def factor_complexity(
     win = max(start_len, 4 * n_max)
     prev: Optional[dict[int, int]] = None
     while win <= cap:
-        w = generate(params, 0, win - 1)
-        counts = {n: len(factor_set(w, n)) for n in range(1, n_max + 1)}
+        s = generate(params, 0, win - 1).symbols
+        counts = {n: len({s[i : i + n] for i in range(win - n + 1)}) for n in range(1, n_max + 1)}
         if prev == counts:
             return ComplexityReport(counts, win)
         prev = counts

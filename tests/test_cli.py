@@ -10,6 +10,7 @@ import sturmgas.verify
 from sturmgas.cli import build_parser, main
 from sturmgas.errors import InconclusiveError
 from sturmgas.exact_angle import GOLDEN, RotationParams
+from sturmgas.lattice_gas import SEARCH_CAP
 from sturmgas.order_analysis import DistanceProfile, distance_profile
 from sturmgas.sturmian_gen import Word
 
@@ -226,9 +227,23 @@ def test_ground_state_workers_option_removed(capsys):
 
 
 def test_ground_state_oversized_usage_error(capsys):
-    code, _, err = run(capsys, "ground-state", "--length", "30")
+    code, _, err = run(capsys, "ground-state", "--length", str(SEARCH_CAP + 1))
     assert code == 1
     assert "refusing" in err
+
+
+def test_ground_state_huge_length_builds_no_huge_profile(capsys, monkeypatch):
+    horizons = []
+    real = sturmgas.cli.distance_profile
+
+    def recording(params, horizon):
+        horizons.append(horizon)
+        return real(params, horizon)
+
+    monkeypatch.setattr(sturmgas.cli, "distance_profile", recording)
+    code, _, err = run(capsys, "ground-state", "--length", str(10**9))
+    assert code == 1 and "refusing" in err
+    assert horizons == [SEARCH_CAP]
 
 
 def test_verify_characterize_passes(capsys):

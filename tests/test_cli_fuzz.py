@@ -50,7 +50,7 @@ OPTIONS = {
         "--decay": (("1/2", "1/3"), BAD_FRACTIONS),
         "--penalty": (("1", "2"), BAD_FRACTIONS),
     },
-    "ground-state": {"--length": (("6", "10"), BAD_INTS + ("30",))},
+    "ground-state": {"--length": (("6", "10"), BAD_INTS + ("1001",))},
     "verify": {},
 }
 REQUIRED = {

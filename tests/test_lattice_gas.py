@@ -1,9 +1,10 @@
-"""Couplings, exact energies, exhaustive ground states, periodic densities."""
+"""Couplings, exact energies, certified ground states, periodic densities."""
 
 import random
 from fractions import Fraction
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import sturmgas.lattice_gas
@@ -13,7 +14,9 @@ from sturmgas.sturmian_gen import Word, generate
 from sturmgas.order_analysis import distance_profile, ensure_horizon
 from sturmgas.characterization import enumerate_legal, is_locally_legal
 from sturmgas.lattice_gas import (
+    SEARCH_CAP,
     EnergyBreakdown,
+    InteractionSpec,
     PeriodicDensity,
     build_interaction,
     energy_open,
@@ -56,6 +59,34 @@ def _reference_energy_open(w, spec):
     return EnergyBreakdown(
         pair_part + zero_run_part, pair_part, zero_run_part, tuple(pairs), tuple(runs)
     )
+
+
+def _reference_scan(length, spec):
+    """Brute-force oracle: a blocked numpy bitmask scan of all 2**length states.
+
+    Bit k of x is site k.  x has a positive term iff x & (x >> j) != 0 for a
+    forbidden j < length, or the complement of x | x>>1 | ... |
+    x>>(zero_run_len-1) is nonzero at some run start inside the window.
+    Returns (zero-energy words, states scanned).
+    """
+    scan_block = 1 << 16
+    distances = [j for j in sorted(spec.profile.forbidden) if j < length]
+    run_len = spec.zero_run_len
+    run_window = (1 << (length - run_len + 1)) - 1 if length >= run_len else 0
+    total = 1 << length
+    zero = []
+    for lo in range(0, total, scan_block):
+        x = np.arange(lo, min(lo + scan_block, total), dtype=np.uint32)
+        positive = np.zeros(x.shape, dtype=bool)
+        for j in distances:
+            positive |= (x & (x >> j)) != 0
+        if run_window:
+            covered = x.copy()
+            for s in range(1, run_len):
+                covered |= x >> s
+            positive |= (~covered & run_window) != 0
+        zero.extend(x[~positive].tolist())
+    return frozenset(Word(format(x, f"0{length}b")[::-1]) for x in zero), total
 
 
 def _reference_periodic_density(period_word, spec, tail_tol):
@@ -239,8 +270,41 @@ def test_ground_state_contains_generated_factors():
 
 
 def test_ground_state_refuses_oversized_scan():
-    with pytest.raises(ValueError):
-        ground_state_search(25, SPEC)
+    with pytest.raises(ValueError, match="refusing"):
+        ground_state_search(SEARCH_CAP + 1, SPEC)
+
+
+@pytest.mark.parametrize("gamma", PANEL)
+def test_ground_state_matches_reference_scan(gamma):
+    profile = distance_profile(_panel_params(gamma), 200)
+    for decay, penalty in ((Fraction(1, 2), Fraction(1)), (Fraction(1, 4), Fraction(3, 2))):
+        spec = build_interaction(profile, decay, penalty)
+        for length in range(1, 21):
+            result = ground_state_search(length, spec)
+            words, scanned = _reference_scan(length, spec)
+            assert result.min_energy == 0
+            assert result.argmin == words, (decay, length)
+            assert result.states_scanned == scanned == 1 << length
+
+
+def test_ground_state_witness_check_fires(monkeypatch):
+    # a pruning whose witness carries no positive energy term is refused:
+    # a zero coupling on the pair distance, or a zero vacancy-run penalty
+    spec = build_interaction(PROFILE)
+    object.__setattr__(spec, "zero_run_penalty", Fraction(0))
+    with pytest.raises(InternalConsistencyError, match="zero term"):
+        ground_state_search(12, spec)
+    monkeypatch.setattr(InteractionSpec, "coupling", lambda self, j: Fraction(0))
+    with pytest.raises(InternalConsistencyError, match="zero term"):
+        ground_state_search(12, SPEC)
+
+
+def test_ground_state_at_search_cap():
+    profile = distance_profile(FIB, SEARCH_CAP)
+    result = ground_state_search(SEARCH_CAP, build_interaction(profile))
+    assert result.min_energy == 0
+    assert result.states_scanned == 1 << SEARCH_CAP
+    assert result.argmin == enumerate_legal(SEARCH_CAP, SEARCH_CAP, profile)
 
 
 def test_periodic_density_vacuum_equals_penalty():
@@ -301,7 +365,7 @@ def test_ground_state_exhaustive_at_20():
     assert result.states_scanned == 1 << 20
 
 
-def test_ground_state_at_exhaustive_cap():
+def test_ground_state_at_24():
     result = ground_state_search(24, SPEC)
     assert result.min_energy == 0
     assert result.states_scanned == 1 << 24
