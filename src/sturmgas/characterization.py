@@ -2,8 +2,8 @@
 
 A word is locally legal when it has no run of d1+1 zeros and no pair of
 1's at a forbidden distance.  Enumeration with these two rejection rules,
-extension-stabilized, reproduces exactly the factors of the rotation
-coding; periodic contents always trip a forbidden multiple.
+certified at one enclosing length, reproduces exactly the factors of the
+rotation coding; periodic contents always trip a forbidden multiple.
 """
 
 from __future__ import annotations
@@ -11,7 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import InconclusiveError, InsufficientProfileError
+from .discrepancy import component_intervals
+from .errors import InconclusiveError, InsufficientProfileError, InternalConsistencyError
+from .exact_angle import RotationParams
 from .order_analysis import DistanceProfile, ensure_horizon
 from .sturmian_gen import Word
 
@@ -108,31 +110,37 @@ def enumerate_legal(
 def enumerate_legal_stable(
     n: int,
     profile: DistanceProfile,
-    start_m: Optional[int] = None,
+    rotation: Optional[RotationParams] = None,
     max_m: int = 4096,
     budget: int = 10_000_000,
 ) -> tuple[set[Word], int]:
-    """Grow the enclosing length until the central set survives two doublings.
+    """Certify that the legal central words of length n are the arc labels.
 
-    Returns (stable set, enclosing length at which it first appeared).
-    The set is non-increasing in the enclosing length, so agreement across
-    two doublings is meaningful stabilization evidence.
+    Returns (legal set, certifying enclosing length M).  The arc labels of
+    ``rotation`` (default: the profile's) are the length-n factors; each sits
+    centrally in a legal coding window, so they lie in ``enumerate_legal(n, M)``
+    for every M, and that set never grows with M: equality at one M holds at
+    every larger M.  M runs over n, n + 2, n + 4, n + 8, ... up to max_m.
     """
-    m = start_m if start_m is not None else max(2 * n, 8)
-    profile = ensure_horizon(profile, min(4 * m, max_m) - 1)
-    cur = enumerate_legal(n, m, profile, budget)
-    while True:
-        if 4 * m > max_m:
-            raise InconclusiveError(
-                f"no stabilization below enclosing-length cap {max_m}",
-                length_reached=m,
+    rotation = profile.params if rotation is None else rotation
+    if rotation is None:
+        raise InsufficientProfileError("no rotation is given or attached to label the arcs")
+    m, step, labels = n, 2, None
+    while m <= max_m:
+        legal = enumerate_legal(n, m, ensure_horizon(profile, m - 1), budget)
+        labels = labels or set(component_intervals(rotation, n).words)
+        missing = sorted(w.symbols for w in labels - legal)
+        if missing:
+            raise InternalConsistencyError(
+                f"arc label {missing[0]} is not legal at enclosing length {m}"
             )
-        profile = ensure_horizon(profile, 4 * m - 1)
-        step = enumerate_legal(n, 2 * m, profile, budget)
-        step2 = enumerate_legal(n, 4 * m, profile, budget)
-        if cur == step == step2:
-            return cur, m
-        cur, m = step2, 4 * m
+        if legal == labels:
+            return legal, m
+        m, step = n + step, 2 * step
+    raise InconclusiveError(
+        f"legal words of length {n} not certified below enclosing-length cap {max_m}",
+        length_reached=m,
+    )
 
 
 def periodic_exclusion(

@@ -64,6 +64,8 @@ PENALTY = Fraction(1)
 EQUIV_SAMPLES = 100
 EQUIV_MAX_LEN = 500
 EQUIV_SEED = 20260808
+#: the largest window the factor sets are read from
+FACTOR_WINDOW_CAP = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -100,9 +102,10 @@ def equivalence_ensemble(gamma: QuadIrrational, count: int):
     window-level deciders).
     """
     rng = random.Random(EQUIV_SEED)
-    produced = 0
-    while produced < count:
-        length = rng.randrange(24, EQUIV_MAX_LEN + 1)
+    # every d1 + 1 consecutive sites hold a 1, so this many hold three or more
+    min_len = 3 * ((QI_ONE - gamma).reciprocal().floor() + 1)
+    for _ in range(count):
+        length = max(rng.randrange(24, EQUIV_MAX_LEN + 1), min_len)
         i0 = rng.randrange(-1000, 1000)
         r = Fraction(rng.randrange(0, 997), 997)
         m = rng.randrange(0, 4)
@@ -110,12 +113,9 @@ def equivalence_ensemble(gamma: QuadIrrational, count: int):
         params = RotationParams(gamma, psi)
         w = generate(params, i0, i0 + length - 1)
         ones = [k for k, ch in enumerate(w.symbols) if ch == "1"]
-        if len(ones) < 3 or ones[-1] - ones[0] < 2:
-            continue
         u = rng.randrange(ones[0] + 1, ones[-1])
         flipped = "0" if w.symbols[u] == "1" else "1"
         mutated = Word(w.symbols[:u] + flipped + w.symbols[u + 1 :], w.origin)
-        produced += 1
         yield w, mutated
 
 
@@ -250,24 +250,26 @@ def suite_order(params: RotationParams) -> list[CheckResult]:
 
 def suite_discrepancy(params: RotationParams) -> list[CheckResult]:
     checks = []
-    # one deviation scan per word, shared by the checks below
+    # one deviation scan per word, and the length-n factors as sorted arc labels
     report = cache(lambda f: strict_boundary_check(params, Word(f), DEVIATION_MAX_LEN))
-    window = generate(params, 0, max(4 * DEFAULT_N_MAX, 512) - 1)
+    labels = cache(lambda n: sorted(x.symbols for x in component_intervals(params, n).words))
 
     def bijection():
+        window = generate(params, 0, 511)
         for n in range(1, DEFAULT_N_MAX + 1):
-            ci = component_intervals(params, n)
-            assert len(ci.intervals) == n + 1, f"{len(ci.intervals)} arcs at n={n}"
-            factors = {x.symbols for x in factor_set(window, n)}
-            labels = {x.symbols for x in ci.words}
-            assert labels == factors, f"arc labels differ from factors at n={n}"
+            # there are n+1 labels, so a window showing n+1 factors shows them all
+            while len(factors := factor_set(window, n)) < n + 1:
+                assert len(window) < FACTOR_WINDOW_CAP, f"{len(factors)} factors at n={n}"
+                window = generate(params, 0, 2 * len(window) - 1)
+            factors = sorted(x.symbols for x in factors)
+            assert labels(n) == factors, f"arc labels differ from factors at n={n}"
         return f"n+1 arcs labeled by the n+1 factors for n <= {DEFAULT_N_MAX}"
 
     checks.append(_check("interval_word_bijection", bijection))
 
     def additivity():
         for n in range(1, WORD_LEN_MAX):
-            for f in sorted(x.symbols for x in factor_set(window, n)):
+            for f in labels(n):
                 w = Word(f)
                 lhs = frequency(params, w)
                 rhs = frequency(params, Word(f + "0")) + frequency(params, Word(f + "1"))
@@ -288,7 +290,7 @@ def suite_discrepancy(params: RotationParams) -> list[CheckResult]:
     def stabilization():
         flat = []
         for n in range(1, WORD_LEN_MAX + 1):
-            for f in sorted(x.symbols for x in factor_set(window, n)):
+            for f in labels(n):
                 assert report(f).stabilized, f"deviation max grew for {f}"
                 flat.append(f)
         return f"{len(flat)} factor words flat across doubled horizon {DEVIATION_MAX_LEN}"
@@ -321,16 +323,11 @@ def suite_characterize(
 ) -> list[CheckResult]:
     checks = []
     prof = profile if profile is not None else distance_profile(params, DEFAULT_HORIZON)
-    window = generate(params, 0, 4095)
 
     def enumeration():
         for n in range(1, DEFAULT_N_MAX + 1):
-            legal, used = enumerate_legal_stable(n, prof)
-            assert len(legal) == n + 1, f"{len(legal)} legal words at n={n}"
-            factors = {x.symbols for x in factor_set(window, n)}
-            assert {x.symbols for x in legal} == factors, (
-                f"legal set differs from factors at n={n}"
-            )
+            # raises unless legal words = arc labels; never regrows a given profile
+            enumerate_legal_stable(n, prof, params)
         return f"legal-word sets equal factor sets, size n+1, for n <= {DEFAULT_N_MAX}"
 
     checks.append(_check("legal_enumeration_matches_factors", enumeration))

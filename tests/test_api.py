@@ -1,7 +1,8 @@
-"""The public export list names exactly what the package provides, and
-every module uses what it imports."""
+"""The public export list names exactly what the package provides, every
+module uses what it imports, and every name the benchmark calls exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import sturmgas
@@ -75,3 +76,46 @@ def test_generate_decides_in_integers():
     assert "symbol_at" not in names
     floats = {n for n in names if n.startswith("float") or n in NUMPY_FLOATS}
     assert not floats, floats
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _dotted(node):
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return (node.id, *reversed(parts)) if isinstance(node, ast.Name) else ()
+
+
+def test_benchmark_workloads_call_exported_names():
+    # perfbench is read, never imported: a rename or deletion that would
+    # break the benchmark run fails here first
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text(encoding="utf-8"))
+    called = {_dotted(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call)}
+    called = {path for path in called if path[:1] == ("sturmgas",)}
+    assert ("sturmgas", "enumerate_legal_stable") in called
+    for path in called:
+        if len(path) == 2:
+            assert path[1] in sturmgas.__all__, path
+        else:
+            module = importlib.import_module(".".join(path[:-1]))
+            assert callable(getattr(module, path[-1], None)), path
+
+
+def test_benchmark_traced_names_exist():
+    tree = ast.parse((PERFBENCH / "tracing.py").read_text(encoding="utf-8"))
+    tables = {
+        target.id: ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id in ("SPANNED", "AGGREGATED")
+    }
+    assert set(tables) == {"SPANNED", "AGGREGATED"}
+    for table in tables.values():
+        for layer, names in table.items():
+            module = importlib.import_module(f"sturmgas.{layer}")
+            for name in names:
+                assert callable(getattr(module, name, None)), f"{layer}.{name}"

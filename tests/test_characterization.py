@@ -5,10 +5,11 @@ import sys
 
 import pytest
 
-from sturmgas.errors import InconclusiveError, InsufficientProfileError
+from sturmgas.discrepancy import component_intervals
+from sturmgas.errors import InconclusiveError, InsufficientProfileError, InternalConsistencyError
 from sturmgas.exact_angle import GOLDEN, QI_ZERO, RotationParams, qi_make
 from sturmgas.sturmian_gen import Word, generate
-from sturmgas.order_analysis import DistanceProfile, distance_profile, factor_set
+from sturmgas.order_analysis import DistanceProfile, distance_profile, ensure_horizon, factor_set
 from sturmgas.characterization import (
     check_enclosed_ones,
     check_follower_ones,
@@ -151,6 +152,50 @@ def test_stable_enumeration_matches_factors():
             w.symbols for w in factor_set(window, n)
         }
         assert used >= n
+
+
+@PANEL_PROFILES
+def test_certificate_at_first_enclosing_length(profile):
+    # the profiles reach only 40, so n = 48 also regrows them from the rotation
+    for n in (*range(1, 13), 24, 48):
+        legal, used = enumerate_legal_stable(n, profile)
+        assert legal == set(component_intervals(profile.params, n).words)
+        assert used in (n, n + 2)
+        if used == n + 2:
+            assert enumerate_legal(n, n, ensure_horizon(profile, n)) != legal
+
+
+def test_certificate_rejects_an_illegal_label():
+    # forbidding the allowed distance 10 leaves some arc label without a
+    # legal extension, which no enclosing length may hide
+    detached = DistanceProfile(
+        PROFILE.d, PROFILE.horizon, PROFILE.allowed - {10}, PROFILE.forbidden | {10}
+    )
+    with pytest.raises(InternalConsistencyError, match=r"arc label ([01]+) is not legal") as err:
+        enumerate_legal_stable(10, detached, FIB)
+    assert Word(err.value.args[0].split()[2]) in component_intervals(FIB, 10).words
+
+
+def test_certificate_cap_reports_next_length():
+    # at fib, n = 8 is certified at M = 10, one step past a cap of 8
+    with pytest.raises(InconclusiveError) as err:
+        enumerate_legal_stable(8, PROFILE, max_m=8)
+    assert err.value.info["length_reached"] == 10
+    # a length above the cap stops before labelling any arc
+    with pytest.raises(InconclusiveError) as err:
+        enumerate_legal_stable(9, PROFILE, max_m=8)
+    assert err.value.info["length_reached"] == 9
+
+
+def test_certificate_on_detached_profile():
+    detached = DistanceProfile.from_json(distance_profile(FIB, 60).to_json())
+    with pytest.raises(InsufficientProfileError, match="no rotation"):
+        enumerate_legal_stable(4, detached)
+    legal, used = enumerate_legal_stable(12, detached, FIB)
+    assert used == 14 and legal == set(component_intervals(FIB, 12).words)
+    # the rotation labels the arcs but never regrows the given profile
+    with pytest.raises(InsufficientProfileError, match="horizon 60 < 61"):
+        enumerate_legal_stable(60, detached, FIB)
 
 
 def test_periodic_exclusion_forced_values():

@@ -1,6 +1,7 @@
 """CLI surface: invocations, formats, exit codes, report determinism."""
 
 import json
+import re
 import time
 
 import pytest
@@ -78,17 +79,27 @@ def test_generate_ratio_mode_margin_failure_exit_two(capsys, tmp_path):
 
 
 def test_inconclusive_json_report_carries_info(capsys):
-    # four times the starting enclosing length 1026 exceeds the cap 4096
-    code, out, err = run(capsys, "characterize", "--n", "513", "--format", "json")
+    # the first enclosing length, n itself, already exceeds the cap 4096
+    code, out, err = run(capsys, "characterize", "--n", "4097", "--format", "json")
     assert code == 2
     assert "computation limit: InconclusiveError" in err
     assert json.loads(out) == {
         "error": {
             "type": "InconclusiveError",
-            "message": "no stabilization below enclosing-length cap 4096",
-            "info": {"length_reached": 1026},
+            "message": "legal words of length 4097 not certified below enclosing-length cap 4096",
+            "info": {"length_reached": 4097},
         }
     }
+
+
+def test_characterize_certifies_past_the_doubling_cap(capsys):
+    # four times the doubling search's first length 1026 exceeded the cap;
+    # the certificate needs only M = n + 2
+    code, out, _ = run(capsys, "characterize", "--n", "513", "--format", "json")
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["M_used"] == 515 and results["count"] == 514
+    assert results["matches_factor_set"] is True
 
 
 def test_inconclusive_report_lists_partial_words(monkeypatch, capsys):
@@ -265,9 +276,25 @@ def test_verify_corrupted_profile_fails(tmp_path, capsys):
     path = tmp_path / "corrupt.json"
     path.write_text(corrupt.to_json(), encoding="utf-8")
     code, out, _ = run(capsys, "verify", "--suite", "characterize",
-                       "--profile", str(path))
+                       "--profile", str(path), "--format", "json")
     assert code == 3
-    assert "FAIL" in out
+    checks = {c["name"]: c for c in json.loads(out)["results"]["suites"]["characterize"]}
+    enumeration = checks["legal_enumeration_matches_factors"]
+    assert not enumeration["passed"]
+    assert re.fullmatch(
+        r"InternalConsistencyError: arc label [01]+ is not legal at enclosing length \d+",
+        enumeration["details"],
+    )
+
+
+def test_verify_detached_profile_passes(tmp_path, capsys):
+    # a correct profile read from JSON carries no rotation; the certificate
+    # labels the arcs with --gamma and needs no horizon beyond 60
+    path = tmp_path / "profile.json"
+    path.write_text(distance_profile(RotationParams(GOLDEN, GOLDEN), 60).to_json())
+    code, out, _ = run(capsys, "verify", "--suite", "characterize", "--profile", str(path))
+    assert code == 0
+    assert "all checks passed" in out
 
 
 def test_verify_profile_reaches_only_profile_suites(tmp_path, capsys, monkeypatch):

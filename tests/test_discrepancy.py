@@ -1,5 +1,6 @@
 """Interval correspondence, exact frequencies, segment-count deviations."""
 
+import re
 from collections import Counter
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from sturmgas import verify
 from sturmgas.errors import AmbiguousCodingError
-from sturmgas.exact_angle import GOLDEN, QI_ONE, QI_ZERO, RotationParams, qi_make
+from sturmgas.exact_angle import GOLDEN, QI_ONE, QI_ZERO, RotationParams, parse_qi, qi_make
 from sturmgas.sturmian_gen import Word, generate, symbol_at
 from sturmgas.order_analysis import factor_set
 from sturmgas.discrepancy import (
@@ -261,3 +262,15 @@ def test_discrepancy_suite_scans_each_word_once(monkeypatch):
     assert [c.name for c in checks if not c.passed] == []
     # the 27 factors of length 1-6 include '1', '00' and '010'
     assert len(scanned) == 27 and set(scanned.values()) == {1}
+
+
+def test_discrepancy_suite_reads_exact_factor_sets(monkeypatch):
+    # at d1 = 1707 a 512-site window misses factors; the suite doubles its
+    # window until it shows all n + 1 of them, and fails at the cap instead
+    sparse = RotationParams(parse_qi("998,1,1000,2"), QI_ZERO)
+    checks = {c.name: c for c in verify.suite_discrepancy(sparse)}
+    assert checks["interval_word_bijection"].passed
+    assert checks["frequency_additivity"].passed
+    monkeypatch.setattr(verify, "FACTOR_WINDOW_CAP", 1024)
+    checks = {c.name: c for c in verify.suite_discrepancy(sparse)}
+    assert re.fullmatch(r"\d+ factors at n=\d+", checks["interval_word_bijection"].details)

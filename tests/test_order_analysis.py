@@ -1,5 +1,7 @@
 """Factor complexity, balance, homogeneity, and the distance profile."""
 
+import signal
+
 import pytest
 
 from sturmgas.errors import (
@@ -7,7 +9,7 @@ from sturmgas.errors import (
     InternalConsistencyError,
     UndecidableWindowError,
 )
-from sturmgas.exact_angle import GOLDEN, QI_ZERO, RotationParams, parse_qi, qi_make
+from sturmgas.exact_angle import GOLDEN, QI_ONE, QI_ZERO, RotationParams, parse_qi, qi_make
 from sturmgas.sturmian_gen import Word, generate
 from sturmgas.order_analysis import (
     DistanceProfile,
@@ -192,6 +194,30 @@ def test_order_suite_at_panel_angles(gamma, monkeypatch):
     names = {c.name for c in checks}
     assert {"distance_floor_formula", "forbidden_words_absent"} <= names
     assert [c.name for c in checks if not c.passed] == []
+
+
+@pytest.mark.parametrize("gamma", ["998,1,1000,2", "89698,1,89998,2"])
+def test_equivalence_ensemble_yields_at_sparse_angles(gamma):
+    # d1 = 1707 and 301: a window of at most 500 sites can hold fewer than
+    # three 1's, so without the 3(d1 + 1) floor the plan never yields here
+    g = parse_qi(gamma)
+    d1 = (QI_ONE - g).reciprocal().floor()
+
+    def stuck(signum, frame):
+        raise TimeoutError("equivalence_ensemble did not yield")
+
+    previous = signal.signal(signal.SIGALRM, stuck)
+    signal.alarm(20)
+    try:
+        pairs = list(verify.equivalence_ensemble(g, 3))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert len(pairs) == 3
+    for w, mutated in pairs:
+        assert len(w) >= 3 * (d1 + 1) and w.count("1") >= 3
+        assert is_balanced(w).balanced and is_most_homogeneous(w).homogeneous
+        assert sum(a != b for a, b in zip(w.symbols, mutated.symbols)) == 1
 
 
 def test_profile_structure_flags_corruption():
