@@ -13,9 +13,9 @@ from typing import Optional
 
 from .discrepancy import component_intervals
 from .errors import InconclusiveError, InsufficientProfileError, InternalConsistencyError
-from .exact_angle import RotationParams
+from .exact_angle import QI_ONE, RotationParams
 from .order_analysis import DistanceProfile, ensure_horizon
-from .sturmian_gen import Word
+from .sturmian_gen import Word, generate
 
 
 @dataclass(frozen=True)
@@ -120,11 +120,15 @@ def enumerate_legal_stable(
     ``rotation`` (default: the profile's) are the length-n factors; each sits
     centrally in a legal coding window, so they lie in ``enumerate_legal(n, M)``
     for every M, and that set never grows with M: equality at one M holds at
-    every larger M.  M runs over n, n + 2, n + 4, n + 8, ... up to max_m.
+    every larger M.  M runs over n, n + 2, n + 4, n + 8, ... up to max_m.  An
+    attached profile first grows to d1 (at most max_m); a detached one is not.
     """
     rotation = profile.params if rotation is None else rotation
     if rotation is None:
         raise InsufficientProfileError("no rotation is given or attached to label the arcs")
+    if profile.params is not None:  # the zero-run rule needs d1 = floor(1/(1 - gamma))
+        d1 = (QI_ONE - profile.params.gamma).reciprocal().floor()
+        profile = ensure_horizon(profile, min(d1, max_m))
     m, step, labels = n, 2, None
     while m <= max_m:
         legal = enumerate_legal(n, m, ensure_horizon(profile, m - 1), budget)
@@ -143,30 +147,35 @@ def enumerate_legal_stable(
     )
 
 
-def periodic_exclusion(
-    p: int, profile: DistanceProfile, horizon_cap: int = 100_000
-) -> int:
+#: the largest distance periodic_exclusion examines before giving up
+EXCLUSION_CAP = 100_000
+
+
+def periodic_exclusion(p: int, profile: DistanceProfile) -> int:
     """Smallest i >= 1 with i*p a forbidden distance.
 
-    Grows the profile horizon geometrically when multiples of p outrun it;
-    hitting the cap raises instead of claiming no such i exists.
+    Multiples within the horizon are read off ``profile.forbidden``; past it,
+    n is forbidden iff the attached rotation's phase-0 coding reads 00 at n
+    and n + 1.  Reaching EXCLUSION_CAP raises instead of claiming no i exists.
     """
     if p < 1:
         raise ValueError("period must be >= 1")
-    i = 1
-    while True:
-        while i * p > profile.horizon:
-            if profile.horizon >= horizon_cap:
-                raise InconclusiveError(
-                    f"no forbidden multiple of {p} found below horizon cap "
-                    f"{horizon_cap}",
-                    period=p,
-                    horizon_reached=profile.horizon,
-                )
-            profile = ensure_horizon(profile, min(2 * profile.horizon, horizon_cap))
-        if i * p in profile.forbidden:
-            return i
-        i += 1
+    start, reach = profile.horizon + 1, max(profile.horizon, EXCLUSION_CAP)
+    for n in range(p, start, p):
+        if n in profile.forbidden:
+            return n // p
+    if start <= reach:
+        if profile.params is None:
+            raise InsufficientProfileError(f"no rotation attached to read past horizon {start - 1}")
+        coding = generate(profile.params, start, reach + 1).symbols
+        for n in range(start + -start % p, reach + 1, p):  # multiples past the horizon
+            if coding[n - start : n - start + 2] == "00":
+                return n // p
+    raise InconclusiveError(
+        f"no forbidden multiple of {p} found below horizon cap {EXCLUSION_CAP}",
+        period=p,
+        horizon_reached=reach,
+    )
 
 
 @dataclass(frozen=True)

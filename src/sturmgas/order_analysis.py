@@ -51,29 +51,30 @@ class ComplexityReport:
     window_len: int
 
 
-def factor_complexity(
-    params: RotationParams,
-    n_max: int,
-    start_len: int = 64,
-    cap: int = 1 << 16,
-) -> ComplexityReport:
+#: factor_complexity's first window, and the window size at which it gives up
+COMPLEXITY_START_LEN = 64
+COMPLEXITY_WINDOW_CAP = 1 << 16
+
+
+def factor_complexity(params: RotationParams, n_max: int) -> ComplexityReport:
     """Count distinct factors per length, growing the window until stable.
 
     The window doubles until every count for n <= n_max is unchanged by a
-    further doubling; hitting the cap without stabilizing raises rather
-    than reporting a possibly-too-small count.
+    further doubling; hitting COMPLEXITY_WINDOW_CAP without stabilizing
+    raises rather than reporting a possibly-too-small count.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    win = max(start_len, 4 * n_max)
+    win = max(COMPLEXITY_START_LEN, 4 * n_max)
     prev: Optional[dict[int, int]] = None
-    while win <= cap:
+    while win <= COMPLEXITY_WINDOW_CAP:
         s = generate(params, 0, win - 1).symbols
         counts = {n: len({s[i : i + n] for i in range(win - n + 1)}) for n in range(1, n_max + 1)}
         if prev == counts:
             return ComplexityReport(counts, win)
         prev = counts
         win *= 2
+    cap = COMPLEXITY_WINDOW_CAP
     raise InconclusiveError(
         f"factor counts did not stabilize below window cap {cap}", cap=cap, last=prev
     )
@@ -171,15 +172,14 @@ def is_most_homogeneous(w: Word) -> HomogeneityVerdict:
 
 @dataclass(frozen=True)
 class DistanceProfile:
-    """The increasing spacing sequence d with its allowed/forbidden split.
+    """The increasing spacing sequence d with its forbidden distances.
 
     Complete for distances <= horizon: allowed is the union of {d_j, d_j+1}
-    clipped to [1, horizon], forbidden the complement.
+    clipped to [1, horizon], forbidden its complement there.
     """
 
     d: tuple[int, ...]
     horizon: int
-    allowed: frozenset[int]
     forbidden: frozenset[int]
     #: rotation that produced the profile; lets horizon-growing operations
     #: recompute it (absent for hand-built or deserialized profiles)
@@ -188,10 +188,10 @@ class DistanceProfile:
     def __post_init__(self):
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-        if len(self.allowed) + len(self.forbidden) != self.horizon or (
-            set(self.allowed) | set(self.forbidden) != set(range(1, self.horizon + 1))
-        ):
-            raise ValueError("allowed and forbidden must partition [1, horizon]")
+
+    @property
+    def allowed(self) -> frozenset[int]:
+        return frozenset(range(1, self.horizon + 1)) - self.forbidden
 
     @property
     def d1(self) -> int:
@@ -239,7 +239,12 @@ class DistanceProfile:
         ):
             raise ValueError("malformed profile: need integer horizon, d, allowed, forbidden")
         d, allowed, forbidden = (obj[k] for k in lists)
-        return cls(tuple(d), obj["horizon"], frozenset(allowed), frozenset(forbidden))
+        # together the two sets list 1..horizon, each once; the length test
+        # comes first, so a huge horizon in a small file costs nothing
+        listed = sorted([*set(allowed), *set(forbidden)])
+        if len(listed) != obj["horizon"] or listed != list(range(1, len(listed) + 1)):
+            raise ValueError("allowed and forbidden must partition [1, horizon]")
+        return cls(tuple(d), obj["horizon"], frozenset(forbidden))
 
 
 def ensure_horizon(profile: DistanceProfile, needed: int) -> DistanceProfile:
@@ -270,11 +275,8 @@ def distance_profile(params: RotationParams, horizon: int) -> DistanceProfile:
     d = tuple(p - 1 for p in ones[1:] if p - 1 <= horizon)
     if d and d[0] < 2:
         raise InternalConsistencyError(f"first distance {d[0]} < 2")
-    allowed = frozenset(
-        x for dj in d for x in (dj, dj + 1) if 1 <= x <= horizon
-    )
-    forbidden = frozenset(range(1, horizon + 1)) - allowed
-    profile = DistanceProfile(d, horizon, allowed, forbidden, params=base)
+    forbidden = frozenset(range(1, horizon + 1)).difference(d, (dj + 1 for dj in d))
+    profile = DistanceProfile(d, horizon, forbidden, params=base)
     profile.check_increments()
     return profile
 

@@ -14,7 +14,7 @@ from functools import cache
 from typing import Optional
 
 from .errors import SturmgasError, UndecidableWindowError
-from .exact_angle import GOLDEN, QI_ONE, QuadIrrational, RotationParams, rotate
+from .exact_angle import QI_ONE, QI_ZERO, QuadIrrational, RotationParams, rotate
 from .sturmian_gen import Word, generate
 from .order_analysis import (
     DistanceProfile,
@@ -123,8 +123,8 @@ def run_equivalence(gamma: QuadIrrational, count: int) -> str:
     """Balance and spacing verdicts must agree on every decidable window.
 
     Clean windows must pass both checks; mutated ones must fail both when
-    decidable, and every unbalanced mutation must show a factor surplus
-    (some length with more than n+1 distinct factors).
+    decidable, and every unbalanced mutation must show a factor surplus:
+    more than m + 1 distinct factors at the length m of its balance witness.
     """
     decided = skipped = 0
     for w, mutated in equivalence_ensemble(gamma, count):
@@ -145,11 +145,9 @@ def run_equivalence(gamma: QuadIrrational, count: int) -> str:
             f"homogeneous={mhom.homogeneous} word={mutated.symbols}"
         )
         if not mbal.balanced:
-            surplus = any(
-                len(factor_set(mutated, n)) > n + 1
-                for n in range(1, min(len(mutated), 48))
-            )
-            assert surplus, f"no factor surplus in unbalanced word {mutated.symbols}"
+            m, s = len(mbal.witness[0]), mutated.symbols
+            factors = {s[i : i + m] for i in range(len(s) - m + 1)}
+            assert len(factors) > m + 1, f"no factor surplus in unbalanced word {s}"
         decided += 2
     return f"{count} windows + mutations, {decided} decided verdicts, {skipped} undecidable"
 
@@ -333,12 +331,14 @@ def suite_characterize(
     checks.append(_check("legal_enumeration_matches_factors", enumeration))
 
     def exclusion():
+        g = params.gamma
+        # the closed form: n is forbidden iff n = 1 or frac(n*gamma) in (1 - gamma, gamma)
+        forbidden = lambda n: n == 1 or QI_ONE - g < rotate(QI_ZERO, g, n) < g
         hits = {}
         for p in range(1, DEFAULT_N_MAX + 1):
-            hits[p] = periodic_exclusion(p, prof)
-        if params.gamma == GOLDEN:
-            assert hits[1] == 1, f"period 1 excluded at multiple {hits[1]}"
-            assert hits[2] == 2, f"period 2 excluded at multiple {hits[2]}"
+            i = hits[p] = periodic_exclusion(p, prof)
+            first = next((j for j in range(1, i + 1) if forbidden(j * p)), None)
+            assert first == i, f"period {p} excluded at multiple {i}, closed form gives {first}"
         return f"forbidden multiple found for every period <= {DEFAULT_N_MAX}: {hits}"
 
     checks.append(_check("periodic_exclusion", exclusion))

@@ -119,3 +119,38 @@ def test_benchmark_traced_names_exist():
             module = importlib.import_module(f"sturmgas.{layer}")
             for name in names:
                 assert callable(getattr(module, name, None)), f"{layer}.{name}"
+
+
+#: every function parameter in the package that has a default; a new knob
+#: fails the test below until it is added here on purpose
+DEFAULTED_PARAMETERS = {
+    "characterization.enumerate_legal.budget",
+    "characterization.enumerate_legal_stable.rotation",
+    "characterization.enumerate_legal_stable.max_m",
+    "characterization.enumerate_legal_stable.budget",
+    "cli.main.argv",
+    "discrepancy.strict_boundary_check.trials",
+    "exact_angle._floor_surd.shift",
+    "lattice_gas.build_interaction.decay_base",
+    "lattice_gas.build_interaction.penalty",
+    "lattice_gas.periodic_energy_density.tail_tol",
+    "sturmian_gen.from_convergents.min_q",
+    "verify.suite_characterize.profile",
+    "verify.suite_energy.profile",
+    "verify.run_suites.profile",
+}
+
+
+def test_defaulted_parameters_are_pinned():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            names = [a.arg for a in positional[len(positional) - len(args.defaults) :]]
+            names += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            found |= {f"{path.stem}.{node.name}.{name}" for name in names}
+    assert found == DEFAULTED_PARAMETERS

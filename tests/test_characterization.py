@@ -1,13 +1,15 @@
 """Local legality, legal-word enumeration, periodic exclusion, structure scans."""
 
+import functools
 import inspect
 import sys
 
 import pytest
 
+from sturmgas import characterization
 from sturmgas.discrepancy import component_intervals
 from sturmgas.errors import InconclusiveError, InsufficientProfileError, InternalConsistencyError
-from sturmgas.exact_angle import GOLDEN, QI_ZERO, RotationParams, qi_make
+from sturmgas.exact_angle import GOLDEN, QI_ZERO, RotationParams, parse_qi, qi_make
 from sturmgas.sturmian_gen import Word, generate
 from sturmgas.order_analysis import DistanceProfile, distance_profile, ensure_horizon, factor_set
 from sturmgas.characterization import (
@@ -168,9 +170,7 @@ def test_certificate_at_first_enclosing_length(profile):
 def test_certificate_rejects_an_illegal_label():
     # forbidding the allowed distance 10 leaves some arc label without a
     # legal extension, which no enclosing length may hide
-    detached = DistanceProfile(
-        PROFILE.d, PROFILE.horizon, PROFILE.allowed - {10}, PROFILE.forbidden | {10}
-    )
+    detached = DistanceProfile(PROFILE.d, PROFILE.horizon, PROFILE.forbidden | {10})
     with pytest.raises(InternalConsistencyError, match=r"arc label ([01]+) is not legal") as err:
         enumerate_legal_stable(10, detached, FIB)
     assert Word(err.value.args[0].split()[2]) in component_intervals(FIB, 10).words
@@ -207,8 +207,11 @@ def test_periodic_exclusion_forced_values():
 
 
 def test_periodic_exclusion_grows_horizon():
+    # past the horizon the attached rotation's coding decides: 9 and 25 are
+    # forbidden, read off 00 at sites 9, 10 and 25, 26
     small = distance_profile(FIB, 8)
     assert periodic_exclusion(9, small) == 1
+    assert periodic_exclusion(5, small) == 5
 
 
 def test_periodic_exclusion_detached_profile_fails_loudly():
@@ -217,10 +220,45 @@ def test_periodic_exclusion_detached_profile_fails_loudly():
         periodic_exclusion(9, detached)
 
 
-def test_periodic_exclusion_cap():
-    small = distance_profile(FIB, 20)
-    with pytest.raises(InconclusiveError):
-        periodic_exclusion(7, small, horizon_cap=20)  # 7, 14 allowed; 21 past cap
+def test_periodic_exclusion_cap(monkeypatch):
+    monkeypatch.setattr(characterization, "EXCLUSION_CAP", 20)
+    # 7 is allowed in the profile and 14 in the coding; 21 lies past the cap
+    with pytest.raises(InconclusiveError) as err:
+        periodic_exclusion(7, distance_profile(FIB, 8))
+    assert err.value.info == {"period": 7, "horizon_reached": 20}
+    # a horizon beyond the cap is read in full: 21 is allowed as well
+    with pytest.raises(InconclusiveError) as err:
+        periodic_exclusion(7, distance_profile(FIB, 21))
+    assert err.value.info == {"period": 7, "horizon_reached": 21}
+
+
+def _reference_periodic_exclusion(p, profile, grow=ensure_horizon, horizon_cap=100_000):
+    """The horizon-doubling search: regrow whole profiles until i*p is covered."""
+    i = 1
+    while True:
+        while i * p > profile.horizon:
+            if profile.horizon >= horizon_cap:
+                raise InconclusiveError("cap", period=p, horizon_reached=profile.horizon)
+            profile = grow(profile, min(2 * profile.horizon, horizon_cap))
+        if i * p in profile.forbidden:
+            return i
+        i += 1
+
+
+# the four panel angles and two sparse ones (d1 = 1707 and 301)
+SIX_ANGLES = ("fib", "0,1,2,2", "-1,1,1,3", "1,1,4,3", "998,1,1000,2", "89698,1,89998,2")
+
+
+@pytest.mark.parametrize("horizon", [8, 60, 200, 2000])
+def test_periodic_exclusion_matches_doubling_reference(horizon):
+    for gamma in SIX_ANGLES:
+        profile = distance_profile(RotationParams(parse_qi(gamma), QI_ZERO), horizon)
+        # one cache per angle: profiles hash without their rotation, so equal
+        # sets at two angles would share an entry
+        grow = functools.cache(ensure_horizon)
+        for p in range(1, 201):
+            expect = _reference_periodic_exclusion(p, profile, grow)
+            assert periodic_exclusion(p, profile) == expect, (gamma, p)
 
 
 def test_periodic_repetitions_are_illegal():

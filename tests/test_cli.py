@@ -213,10 +213,29 @@ def test_characterize_sparse_angle_matches_arc_labels(capsys):
     assert results["count"] == 9 and results["matches_factor_set"] is True
 
 
+def test_characterize_sparse_angle_past_the_horizon(capsys):
+    # d1 = 1707 lies past the default horizon 200; the profile grows to it
+    code, out, _ = run(capsys, "characterize", "--n", "2", "--gamma", "998,1,1000,2",
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["results"]["legal_words"] == ["00", "01", "10"]
+
+
 def test_exclusion(capsys):
     code, out, _ = run(capsys, "exclusion", "--period", "2", "--format", "json")
     assert code == 0
     assert json.loads(out)["results"]["multiple"] == 2
+
+
+def test_exclusion_cap_reports_progress_quickly(capsys):
+    # gamma = 1/2 + 7e-7: the first forbidden even distance lies near 7*10^5,
+    # past the cap, so the search stops there and reports how far it read
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "exclusion", "--period", "2",
+                       "--gamma", "1000000,1,2000000,2", "--format", "json")
+    assert code == 2
+    assert json.loads(out)["error"]["info"] == {"period": 2, "horizon_reached": 100000}
+    assert time.perf_counter() - start < 5
 
 
 def test_energy(capsys):
@@ -265,14 +284,9 @@ def test_verify_characterize_passes(capsys):
 
 def test_verify_corrupted_profile_fails(tmp_path, capsys):
     profile = distance_profile(RotationParams(GOLDEN, GOLDEN), 60)
-    # swap 9 and 10 between the allowed and forbidden sets: structurally a
-    # partition, but inconsistent with the rotation's factors
-    corrupt = DistanceProfile(
-        profile.d,
-        profile.horizon,
-        (profile.allowed - {10}) | {9},
-        (profile.forbidden - {9}) | {10},
-    )
+    # forbid 10 and allow 9 instead: a well-formed profile, but inconsistent
+    # with the rotation's factors
+    corrupt = DistanceProfile(profile.d, profile.horizon, (profile.forbidden - {9}) | {10})
     path = tmp_path / "corrupt.json"
     path.write_text(corrupt.to_json(), encoding="utf-8")
     code, out, _ = run(capsys, "verify", "--suite", "characterize",
@@ -285,6 +299,13 @@ def test_verify_corrupted_profile_fails(tmp_path, capsys):
         r"InternalConsistencyError: arc label [01]+ is not legal at enclosing length \d+",
         enumeration["details"],
     )
+    # the closed form frac(n*gamma) in (1 - gamma, gamma) forbids 9, not 12
+    exclusion = checks["periodic_exclusion"]
+    assert exclusion == {
+        "name": "periodic_exclusion",
+        "passed": False,
+        "details": "period 3 excluded at multiple 4, closed form gives 3",
+    }
 
 
 def test_verify_detached_profile_passes(tmp_path, capsys):

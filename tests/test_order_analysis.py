@@ -110,9 +110,8 @@ def test_distance_profile_requires_minimal_horizon():
 def test_profile_json_roundtrip():
     profile = distance_profile(FIB, 30)
     again = DistanceProfile.from_json(profile.to_json())
-    assert again == DistanceProfile(
-        profile.d, profile.horizon, profile.allowed, profile.forbidden
-    )
+    assert again == DistanceProfile(profile.d, profile.horizon, profile.forbidden)
+    assert again.allowed == profile.allowed
     assert again.params is None
 
 
@@ -140,8 +139,17 @@ def test_profile_forbidden_bits():
 
 
 def test_profile_partition_enforced():
-    with pytest.raises(ValueError):
-        DistanceProfile((2,), 4, frozenset({2, 3}), frozenset({1, 2, 4}))
+    # a stored profile keeps one set, so only a file can break the partition:
+    # an overlap, a distance past the horizon, a distance in neither list, and
+    # a horizon far beyond the lists, which must fail without building it
+    for text in (
+        '{"d": [2], "horizon": 4, "allowed": [2, 3], "forbidden": [1, 2, 4]}',
+        '{"d": [2], "horizon": 3, "allowed": [2, 3], "forbidden": [1, 7]}',
+        '{"d": [2], "horizon": 3, "allowed": [2], "forbidden": [1]}',
+        '{"d": [2], "horizon": 1000000000000, "allowed": [2, 3], "forbidden": [1]}',
+    ):
+        with pytest.raises(ValueError, match="partition"):
+            DistanceProfile.from_json(text)
 
 
 def test_ensure_horizon():
@@ -197,6 +205,13 @@ def test_order_suite_at_panel_angles(gamma, monkeypatch):
 
 
 @pytest.mark.parametrize("gamma", ["998,1,1000,2", "89698,1,89998,2"])
+def test_equivalence_surplus_at_sparse_angles(gamma):
+    # the factor surplus of an unbalanced mutation is counted at the length
+    # of its balance witness, which here lies far above a few dozen sites
+    assert verify.run_equivalence(parse_qi(gamma), 2).startswith("2 windows")
+
+
+@pytest.mark.parametrize("gamma", ["998,1,1000,2", "89698,1,89998,2"])
 def test_equivalence_ensemble_yields_at_sparse_angles(gamma):
     # d1 = 1707 and 301: a window of at most 500 sites can hold fewer than
     # three 1's, so without the 3(d1 + 1) floor the plan never yields here
@@ -222,21 +237,11 @@ def test_equivalence_ensemble_yields_at_sparse_angles(gamma):
 
 def test_profile_structure_flags_corruption():
     profile = distance_profile(FIB, 21)
-    corrupt = DistanceProfile(
-        (2, 5, 7, 9),
-        21,
-        profile.allowed,
-        profile.forbidden,
-    )
+    corrupt = DistanceProfile((2, 5, 7, 9), 21, profile.forbidden)
     with pytest.raises(InternalConsistencyError):
         profile_structure(corrupt)
     # forbidden neighbourhood rule: make 4 allowed, 5 forbidden
-    swapped = DistanceProfile(
-        profile.d,
-        21,
-        (profile.allowed - {5}) | {4},
-        (profile.forbidden - {4}) | {5},
-    )
+    swapped = DistanceProfile(profile.d, 21, (profile.forbidden - {4}) | {5})
     with pytest.raises(InternalConsistencyError):
         profile_structure(swapped)
 
