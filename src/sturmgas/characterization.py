@@ -44,8 +44,8 @@ def is_locally_legal(w: Word, profile: DistanceProfile) -> LegalityVerdict:
         raise InsufficientProfileError(
             f"profile horizon {profile.horizon} < window span {len(w) - 1}"
         )
-    run_len = (profile.d[0] if profile.d else profile.horizon) + 1
-    zr_pos = w.symbols.find("0" * run_len)
+    # an empty d puts d1 past the horizon, so no run in the window is too long
+    zr_pos = w.symbols.find("0" * (profile.d[0] + 1)) if profile.d else -1
     end = len(w) if zr_pos == -1 else zr_pos
     # bit k of word_bits is site k, so (word_bits >> a) & forbidden_bits holds
     # the forbidden distances from a to later 1's; the lowest is the first pair
@@ -77,9 +77,8 @@ def enumerate_legal(
         raise InsufficientProfileError(
             f"profile horizon {profile.horizon} < {big_m - 1}"
         )
-    if not profile.d:
-        raise InsufficientProfileError("profile lists no allowed distance")
-    d1 = profile.d[0]
+    # an empty d puts d1 at horizon + 1 >= big_m or beyond: no zero run binds
+    d1 = profile.d[0] if profile.d else big_m
     pair_mask = profile.forbidden_bits >> 1
     pad = (big_m - n) // 2
     found: set[Word] = set()
@@ -156,7 +155,8 @@ def periodic_exclusion(p: int, profile: DistanceProfile) -> int:
 
     Multiples within the horizon are read off ``profile.forbidden``; past it,
     n is forbidden iff the attached rotation's phase-0 coding reads 00 at n
-    and n + 1.  Reaching EXCLUSION_CAP raises instead of claiming no i exists.
+    and n + 1, read in windows of doubling length.  Reaching EXCLUSION_CAP
+    raises instead of claiming no i exists.
     """
     if p < 1:
         raise ValueError("period must be >= 1")
@@ -164,13 +164,17 @@ def periodic_exclusion(p: int, profile: DistanceProfile) -> int:
     for n in range(p, start, p):
         if n in profile.forbidden:
             return n // p
-    if start <= reach:
-        if profile.params is None:
-            raise InsufficientProfileError(f"no rotation attached to read past horizon {start - 1}")
-        coding = generate(profile.params, start, reach + 1).symbols
-        for n in range(start + -start % p, reach + 1, p):  # multiples past the horizon
-            if coding[n - start : n - start + 2] == "00":
+    if start <= reach and profile.params is None:
+        raise InsufficientProfileError(f"no rotation attached to read past horizon {start - 1}")
+    # past the horizon, read the coding in windows [lo, hi] that double in length
+    lo = start
+    while lo <= reach:
+        hi = min(2 * lo + p, reach)
+        coding = generate(profile.params, lo, hi + 1).symbols
+        for n in range(lo + -lo % p, hi + 1, p):
+            if coding[n - lo : n - lo + 2] == "00":
                 return n // p
+        lo = hi + 1
     raise InconclusiveError(
         f"no forbidden multiple of {p} found below horizon cap {EXCLUSION_CAP}",
         period=p,

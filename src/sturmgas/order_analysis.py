@@ -94,17 +94,81 @@ class BalanceVerdict:
         return self.balanced
 
 
-def is_balanced(w: Word) -> BalanceVerdict:
-    """Check every factor length for 1-count spread <= 1.
+def _hull(xs: list[int], ys: list[int], sign: int) -> list[tuple[int, int]]:
+    """Upper (sign 1) or lower (sign -1) hull of points sorted by x, in one
+    monotone-chain pass with integer cross products; collinear points drop."""
+    hull: list[tuple[int, int]] = []
+    for p in zip(xs, ys):
+        while len(hull) > 1:
+            (ox, oy), (ax, ay) = hull[-2], hull[-1]
+            if sign * ((ax - ox) * (p[1] - oy) - (ay - oy) * (p[0] - ox)) < 0:
+                break
+            hull.pop()
+        hull.append(p)
+    return hull
 
-    Sliding-window extrema per length; the witness pairs the lowest- and
-    highest-count factors of the first offending length.
+
+def _fits_strip(bits: np.ndarray, prefix: np.ndarray) -> bool:
+    """Is max_k(c_k - k*a) - min_k(c_k - k*a) < 1 for some slope a?
+
+    The width is convex and piecewise linear in a, growing without bound,
+    so its minimum sits at a breakpoint: an edge slope of the upper hull of
+    the points (k, c_k), where the maximizer moves, or of the lower hull,
+    where the minimizer moves.  An upper-hull vertex is an end point or a
+    1 followed by a 0, a lower-hull vertex an end point or a 0 followed by
+    a 1.  The slopes are walked in increasing order with one pointer per
+    hull, and the width at a = dy/dx is compared as the integer
+    max(y*dx - x*dy) - min(y*dx - x*dy) < dx.
+    """
+    n = len(bits)
+    hulls = []
+    for sign, corners in ((1, bits[:-1] > bits[1:]), (-1, bits[:-1] < bits[1:])):
+        xs = [0, *(np.flatnonzero(corners) + 1).tolist(), n]
+        hulls.append(_hull(xs, prefix[xs].tolist(), sign))
+    upper, lower = hulls
+    # as the slope grows, the maximizer walks the upper hull leftwards and
+    # the minimizer walks the lower hull rightwards; each step takes the
+    # smaller pending edge slope (dx, dy) and moves that hull's pointer
+    j, i = len(upper) - 1, 0
+    while j > 0 or i < len(lower) - 1:
+        (ux, uy), (lx, ly) = upper[j], lower[i]
+        up = (ux - upper[j - 1][0], uy - upper[j - 1][1]) if j > 0 else None
+        down = (lower[i + 1][0] - lx, lower[i + 1][1] - ly) if i < len(lower) - 1 else None
+        if down is None or (up is not None and up[1] * down[0] <= down[1] * up[0]):
+            (dx, dy), j = up, j - 1
+        else:
+            (dx, dy), i = down, i + 1
+        if (uy - ly) * dx - (ux - lx) * dy < dx:
+            return True
+    return False
+
+
+def is_balanced(w: Word) -> BalanceVerdict:
+    """Decide whether every two equal-length factors differ by at most one 1.
+
+    A finite word is balanced iff it is a factor of a mechanical word
+    (Lothaire, *Algebraic Combinatorics on Words*, ch. 2).  With c_k
+    the number of 1's among the first k symbols, that holds iff some slope
+    a gives max_k(c_k - k*a) - min_k(c_k - k*a) < 1.  Indeed, a factor at i
+    of the mechanical word of slope a and intercept r has
+    c_k = floor((i+k)a + r) - floor(ia + r) (or the same with ceilings), so
+    c_k - k*a is a constant plus floor(x) - x in (-1, 0] (or ceil(x) - x in
+    [0, 1)), and the width is below 1.  Conversely, if every c_k - k*a lies
+    in (M - 1, M], every length-m factor count c_(i+m) - c_i lies in the
+    open interval (ma - 1, ma + 1), which holds at most two adjacent
+    integers.  `_fits_strip` decides whether such a slope exists, exactly.
+
+    An unbalanced word gets a witness from a sliding-window scan per length:
+    the lowest- and highest-count factors of the first offending length.
     """
     n = len(w)
     if n <= 1:
         return BalanceVerdict(True)
+    bits = _bits(w)
     prefix = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(_bits(w), out=prefix[1:])
+    np.cumsum(bits, out=prefix[1:])
+    if _fits_strip(bits, prefix):
+        return BalanceVerdict(True)
     for m in range(1, n):
         sums = prefix[m:] - prefix[:-m]
         lo = int(np.argmin(sums))
@@ -117,7 +181,7 @@ def is_balanced(w: Word) -> BalanceVerdict:
                     Word(w.symbols[hi : hi + m], w.origin + hi),
                 ),
             )
-    return BalanceVerdict(True)
+    raise InternalConsistencyError("no strip of width < 1 fits, yet every factor length balances")
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,29 @@ def test_legal_needs_covering_horizon():
         is_locally_legal(generate(FIB, 0, 500), PROFILE)
 
 
+SPARSE = RotationParams(parse_qi("998,1,1000,2"), QI_ZERO)  # d1 = 1707
+
+
+def test_legal_with_empty_profile():
+    # horizon 8 < d1: d is empty, every distance up to 8 is forbidden, and no
+    # zero run fits in a window the profile covers
+    profile = distance_profile(SPARSE, 8)
+    assert profile.d == ()
+    assert "0" * 9 in generate(SPARSE, 0, 11).symbols
+    assert is_locally_legal(Word("0" * 9), profile).legal
+    assert is_locally_legal(Word("000010000"), profile).legal
+    verdict = is_locally_legal(Word("100000001", 5), profile)
+    assert verdict.violation == characterization.Violation("forbidden_pair", 5, 8)
+
+
+def test_enumerate_with_empty_profile():
+    profile = distance_profile(SPARSE, 8)
+    for n in (1, 2, 3, 5):
+        legal = enumerate_legal(n, 9, profile)
+        assert legal == set(component_intervals(SPARSE, n).words)
+        assert len(legal) == n + 1
+
+
 def test_enumerate_small_lengths():
     assert {w.symbols for w in enumerate_legal(1, 8, PROFILE)} == {"0", "1"}
     assert {w.symbols for w in enumerate_legal(2, 40, PROFILE)} == {"00", "01", "10"}

@@ -221,6 +221,16 @@ def test_characterize_sparse_angle_past_the_horizon(capsys):
     assert json.loads(out)["results"]["legal_words"] == ["00", "01", "10"]
 
 
+def test_characterize_angle_with_d1_past_the_enumeration_cap(capsys):
+    # d1 = 17071 lies past max_m = 4096, so the grown profile still lists no
+    # distance; at enclosing length 2 no zero run can bind either
+    code, out, _ = run(capsys, "characterize", "--n", "2", "--gamma", "9998,1,10000,2",
+                       "--format", "json")
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["legal_words"] == ["00", "01", "10"] and results["count"] == 3
+
+
 def test_exclusion(capsys):
     code, out, _ = run(capsys, "exclusion", "--period", "2", "--format", "json")
     assert code == 0

@@ -1,7 +1,11 @@
 """Factor complexity, balance, homogeneity, and the distance profile."""
 
+import itertools
+import random
 import signal
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sturmgas.errors import (
@@ -9,9 +13,19 @@ from sturmgas.errors import (
     InternalConsistencyError,
     UndecidableWindowError,
 )
-from sturmgas.exact_angle import GOLDEN, QI_ONE, QI_ZERO, RotationParams, parse_qi, qi_make
+from sturmgas.exact_angle import (
+    GOLDEN,
+    QI_ONE,
+    QI_ZERO,
+    QuadIrrational,
+    RotationParams,
+    parse_qi,
+    qi_make,
+)
 from sturmgas.sturmian_gen import Word, generate
+from sturmgas import order_analysis
 from sturmgas.order_analysis import (
+    BalanceVerdict,
     DistanceProfile,
     distance_profile,
     ensure_horizon,
@@ -61,6 +75,77 @@ def test_balance_verdicts():
     assert (verdict.witness[0].symbols, verdict.witness[1].symbols) == ("00", "11")
     assert is_balanced(Word("")).balanced
     assert is_balanced(Word("0")).balanced
+
+
+def _reference_is_balanced(w):
+    """The per-length sliding scan that decided balance before the strip test."""
+    n = len(w)
+    if n <= 1:
+        return BalanceVerdict(True)
+    prefix = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum([int(ch) for ch in w.symbols], out=prefix[1:])
+    for m in range(1, n):
+        sums = prefix[m:] - prefix[:-m]
+        lo = int(np.argmin(sums))
+        hi = int(np.argmax(sums))
+        if sums[hi] - sums[lo] >= 2:
+            return BalanceVerdict(
+                False,
+                (
+                    Word(w.symbols[lo : lo + m], w.origin + lo),
+                    Word(w.symbols[hi : hi + m], w.origin + hi),
+                ),
+            )
+    return BalanceVerdict(True)
+
+
+@pytest.mark.parametrize("n", range(15))
+def test_balance_matches_scan_on_every_short_word(n):
+    for symbols in itertools.product("01", repeat=n):
+        w = Word("".join(symbols), -3)
+        assert is_balanced(w) == _reference_is_balanced(w), w.symbols
+
+
+@pytest.mark.parametrize(
+    "gamma", ["fib", "0,1,2,2", "-1,1,1,3", "1,1,4,3", "998,1,1000,2", "89698,1,89998,2"]
+)
+def test_balance_matches_scan_on_generated_windows(gamma):
+    # clean coding windows at rational phases, each with three one-site flips
+    g = parse_qi(gamma)
+    rng = random.Random(13)
+    for length in (2, 5, 31, 200, 777, 2000, 3500):
+        psi = QuadIrrational.from_fraction(Fraction(rng.randrange(997), 997))
+        i0 = rng.randrange(-5000, 5000)
+        w = generate(RotationParams(g, psi), i0, i0 + length - 1)
+        assert is_balanced(w) == _reference_is_balanced(w) == BalanceVerdict(True)
+        for u in rng.sample(range(length), min(3, length)):
+            flipped = "0" if w.symbols[u] == "1" else "1"
+            mutated = Word(w.symbols[:u] + flipped + w.symbols[u + 1 :], w.origin)
+            assert is_balanced(mutated) == _reference_is_balanced(mutated), (length, u)
+
+
+def test_balance_matches_scan_on_periodic_words():
+    # every period word up to length 7, repeated past 40 sites, plus the
+    # powers of the Christoffel words of slope p/q, which are balanced
+    words = [
+        "".join(u) * (48 // k) for k in range(1, 8) for u in itertools.product("01", repeat=k)
+    ]
+    for q in range(1, 12):
+        for p in range(q + 1):
+            words.append("".join(str((k + 1) * p // q - k * p // q) for k in range(q)) * 5)
+            assert is_balanced(Word(words[-1])).balanced
+    for symbols in words:
+        w = Word(symbols, 7)
+        assert is_balanced(w) == _reference_is_balanced(w), symbols
+
+
+def test_balance_scan_cross_checks_the_strip_test(monkeypatch):
+    # a balanced word the strip test wrongly rejected would leave the witness
+    # scan empty-handed, which is reported rather than returned as balanced
+    monkeypatch.setattr(order_analysis, "_fits_strip", lambda bits, prefix: False)
+    with pytest.raises(InternalConsistencyError):
+        is_balanced(EX_WORD)
+    assert is_balanced(Word("0011")) == _reference_is_balanced(Word("0011"))
 
 
 def test_homogeneity_verdicts():
