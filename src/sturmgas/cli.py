@@ -91,7 +91,6 @@ def build_parser() -> _Parser:
     common.add_argument(
         "--psi", default="0,0,1,0", help="phase: 'fib' or 'a,b,c,d' (default 0)"
     )
-    common.add_argument("--horizon", type=int, default=200, help="profile horizon")
     common.add_argument(
         "--format", choices=("json", "csv", "text"), default="text", dest="fmt"
     )
@@ -161,6 +160,8 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--profile", help="JSON distance-profile file overriding the computed one")
 
+    for name in ("distances", "characterize", "exclusion", "energy", "ground-state"):
+        sub.choices[name].add_argument("--horizon", type=int, default=200, help="profile horizon")
     return parser
 
 

@@ -350,6 +350,19 @@ def continued_fraction(x: QuadIrrational, n_terms: int) -> list[int]:
     return terms
 
 
+def recurrence_length(gamma: QuadIrrational, n: int) -> int:
+    """Fewest N such that every N-site window of a coding of irrational gamma
+    holds all n + 1 length-n factors: n + q_k + q_{k+1} - 1 for convergent
+    denominators q_k <= n < q_{k+1} (Morse and Hedlund 1940), walked until q_{k+1} > n."""
+    if n < 1:
+        raise ValueError("factor length must be >= 1")
+    q_prev, q, x = 0, 1, gamma
+    while q <= n:
+        x = x.frac().reciprocal()
+        q_prev, q = q, x.floor() * q + q_prev
+    return n + q_prev + q - 1
+
+
 def convergents(x: QuadIrrational, n_terms: int) -> list[tuple[int, int]]:
     """Convergent pairs (p, q) of x, in lowest terms."""
     terms = continued_fraction(x, n_terms)

@@ -1,9 +1,9 @@
 """Window-level order diagnostics: factor complexity, balance, homogeneity.
 
 All three deciders certify properties of the finite window they are
-given.  Claims about infinite sequences are only ever approximated by
-growing windows until the answer is stable under doubling, and growth
-caps fail loudly instead of returning a silently wrong verdict.
+given.  A window that stands for the infinite sequence is sized in advance
+from gamma's continued fraction, and a size above SIZE_CAP fails loudly
+instead of returning a silently wrong verdict.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .errors import (
     InternalConsistencyError,
     UndecidableWindowError,
 )
-from .exact_angle import QI_ZERO, RotationParams
+from .exact_angle import QI_ZERO, RotationParams, recurrence_length
 from .sturmian_gen import Word, generate
 
 
@@ -45,39 +45,31 @@ def factor_set(w: Word, n: int) -> set[Word]:
 
 @dataclass(frozen=True)
 class ComplexityReport:
-    """Distinct-factor counts p[n] measured on a stabilized window."""
+    """Distinct-factor counts p[n] measured on one window that holds them all."""
 
     p: dict[int, int]
     window_len: int
 
 
-#: factor_complexity's first window, and the window size at which it gives up
-COMPLEXITY_START_LEN = 64
-COMPLEXITY_WINDOW_CAP = 1 << 16
+#: the largest window or horizon sized from gamma; a larger size is refused
+SIZE_CAP = 1 << 16
+
+
+def capped_size(size: int, what: str) -> int:
+    """size, unless it passes SIZE_CAP: then InconclusiveError carrying it."""
+    if size > SIZE_CAP:
+        raise InconclusiveError(f"{what} {size} is above the cap {SIZE_CAP}", needed=size)
+    return size
 
 
 def factor_complexity(params: RotationParams, n_max: int) -> ComplexityReport:
-    """Count distinct factors per length, growing the window until stable.
-
-    The window doubles until every count for n <= n_max is unchanged by a
-    further doubling; hitting COMPLEXITY_WINDOW_CAP without stabilizing
-    raises rather than reporting a possibly-too-small count.
-    """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    win = max(COMPLEXITY_START_LEN, 4 * n_max)
-    prev: Optional[dict[int, int]] = None
-    while win <= COMPLEXITY_WINDOW_CAP:
-        s = generate(params, 0, win - 1).symbols
-        counts = {n: len({s[i : i + n] for i in range(win - n + 1)}) for n in range(1, n_max + 1)}
-        if prev == counts:
-            return ComplexityReport(counts, win)
-        prev = counts
-        win *= 2
-    cap = COMPLEXITY_WINDOW_CAP
-    raise InconclusiveError(
-        f"factor counts did not stabilize below window cap {cap}", cap=cap, last=prev
-    )
+    """Count distinct factors per length on one window of recurrence_length(gamma,
+    n_max) sites: it holds all n_max + 1 factors of length n_max and, as their
+    prefixes, every shorter factor."""
+    win = capped_size(recurrence_length(params.gamma, n_max), f"factor window for n <= {n_max}")
+    s = generate(params, 0, win - 1).symbols
+    counts = {n: len({s[i : i + n] for i in range(win - n + 1)}) for n in range(1, n_max + 1)}
+    return ComplexityReport(counts, win)
 
 
 # ---------------------------------------------------------------------------

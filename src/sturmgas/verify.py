@@ -14,10 +14,11 @@ from functools import cache
 from typing import Optional
 
 from .errors import SturmgasError, UndecidableWindowError
-from .exact_angle import QI_ONE, QI_ZERO, QuadIrrational, RotationParams, rotate
+from .exact_angle import QI_ONE, QI_ZERO, QuadIrrational, RotationParams, recurrence_length, rotate
 from .sturmian_gen import Word, generate
 from .order_analysis import (
     DistanceProfile,
+    capped_size,
     distance_profile,
     factor_complexity,
     factor_set,
@@ -64,8 +65,6 @@ PENALTY = Fraction(1)
 EQUIV_SAMPLES = 100
 EQUIV_MAX_LEN = 500
 EQUIV_SEED = 20260808
-#: the largest window the factor sets are read from
-FACTOR_WINDOW_CAP = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -86,6 +85,12 @@ def _check(name: str, fn) -> CheckResult:
         return CheckResult(name, False, str(exc) or "assertion failed")
     except SturmgasError as exc:
         return CheckResult(name, False, f"{type(exc).__name__}: {exc}")
+
+
+def _default_profile(params: RotationParams) -> DistanceProfile:
+    """The suites' profile, past d_4 <= 4 * (d1 + 1) and at least DEFAULT_HORIZON."""
+    horizon = max(DEFAULT_HORIZON, 4 * ((QI_ONE - params.gamma).reciprocal().floor() + 1))
+    return distance_profile(params, capped_size(horizon, "profile horizon"))
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +163,9 @@ def run_equivalence(gamma: QuadIrrational, count: int) -> str:
 
 def suite_order(params: RotationParams) -> list[CheckResult]:
     g = params.gamma
-    profile = distance_profile(params, DEFAULT_HORIZON)
+    profile = _default_profile(params)
+    # a rank-j pair at distance d_j + 1 spans d_j + 2 sites
+    span = capped_size(recurrence_length(g, profile.d[-1] + 2), "spacing window")
     w = generate(params, 0, DEFAULT_WINDOW - 1)
     checks = []
 
@@ -202,22 +209,11 @@ def suite_order(params: RotationParams) -> list[CheckResult]:
     checks.append(_check("gaps_two_valued", gaps))
 
     def both_gap_values():
-        span = DEFAULT_WINDOW
-        while True:
-            ones = generate(params, 0, span - 1).one_positions()
-            missing = []
-            for j, dj in enumerate(profile.d, start=1):
-                if j >= len(ones):
-                    missing.append(j)
-                    continue
-                vals = {ones[k + j] - ones[k] for k in range(len(ones) - j)}
-                if not {dj, dj + 1} <= vals:
-                    missing.append(j)
-            if not missing:
-                return f"both spacings seen for every rank, window {span}"
-            if span >= 16 * DEFAULT_WINDOW:
-                raise AssertionError(f"ranks missing a spacing value: {missing}")
-            span *= 2
+        ones = generate(params, 0, span - 1).one_positions()
+        spacings = lambda j: {b - a for a, b in zip(ones, ones[j:])}
+        missing = [j for j, dj in enumerate(profile.d, 1) if not {dj, dj + 1} <= spacings(j)]
+        assert not missing, f"ranks missing a spacing value: {missing}"
+        return f"both spacings seen for every rank, window {span}"
 
     checks.append(_check("both_spacings_occur", both_gap_values))
 
@@ -248,18 +244,15 @@ def suite_order(params: RotationParams) -> list[CheckResult]:
 
 def suite_discrepancy(params: RotationParams) -> list[CheckResult]:
     checks = []
+    span = capped_size(recurrence_length(params.gamma, DEFAULT_N_MAX), "factor window")
     # one deviation scan per word, and the length-n factors as sorted arc labels
     report = cache(lambda f: strict_boundary_check(params, Word(f), DEVIATION_MAX_LEN))
     labels = cache(lambda n: sorted(x.symbols for x in component_intervals(params, n).words))
 
     def bijection():
-        window = generate(params, 0, 511)
+        window = generate(params, 0, span - 1)
         for n in range(1, DEFAULT_N_MAX + 1):
-            # there are n+1 labels, so a window showing n+1 factors shows them all
-            while len(factors := factor_set(window, n)) < n + 1:
-                assert len(window) < FACTOR_WINDOW_CAP, f"{len(factors)} factors at n={n}"
-                window = generate(params, 0, 2 * len(window) - 1)
-            factors = sorted(x.symbols for x in factors)
+            factors = sorted(x.symbols for x in factor_set(window, n))
             assert labels(n) == factors, f"arc labels differ from factors at n={n}"
         return f"n+1 arcs labeled by the n+1 factors for n <= {DEFAULT_N_MAX}"
 
@@ -320,7 +313,7 @@ def suite_characterize(
     params: RotationParams, profile: Optional[DistanceProfile] = None
 ) -> list[CheckResult]:
     checks = []
-    prof = profile if profile is not None else distance_profile(params, DEFAULT_HORIZON)
+    prof = profile if profile is not None else _default_profile(params)
 
     def enumeration():
         for n in range(1, DEFAULT_N_MAX + 1):
@@ -376,7 +369,7 @@ def suite_energy(
     params: RotationParams, profile: Optional[DistanceProfile] = None
 ) -> list[CheckResult]:
     checks = []
-    prof = profile if profile is not None else distance_profile(params, DEFAULT_HORIZON)
+    prof = profile if profile is not None else _default_profile(params)
     spec = build_interaction(prof, DECAY_BASE, PENALTY)
 
     def summable():

@@ -221,6 +221,59 @@ def test_characterize_sparse_angle_past_the_horizon(capsys):
     assert json.loads(out)["results"]["legal_words"] == ["00", "01", "10"]
 
 
+NEAR_ONE = "-1311738121,3166815962,3166815962,2"  # within 2**-64 of 1, d1 about 2.8e19
+
+
+def _no_call(*args):
+    raise AssertionError("called with a size past the cap")
+
+
+def test_complexity_refuses_a_window_past_the_cap(capsys, monkeypatch):
+    monkeypatch.setattr(sturmgas.order_analysis, "generate", _no_call)
+    code, out, err = run(capsys, "complexity", "--n-max", "5", "--gamma", NEAR_ONE,
+                         "--format", "json")
+    assert code == 2
+    needed = json.loads(out)["error"]["info"]["needed"]
+    assert needed > 10**19 and f"factor window for n <= 5 {needed}" in err
+
+
+def test_verify_refuses_a_horizon_past_the_cap(capsys, monkeypatch):
+    monkeypatch.setattr(sturmgas.verify, "generate", _no_call)
+    monkeypatch.setattr(sturmgas.verify, "distance_profile", _no_call)
+    code, _, err = run(capsys, "verify", "--suite", "order", "--gamma", NEAR_ONE)
+    assert code == 2
+    assert "InconclusiveError: profile horizon" in err
+
+
+@pytest.mark.parametrize("suite", ["order", "characterize", "energy"])
+def test_verify_builds_the_profile_past_d1(capsys, suite):
+    # d1 = 301 lies past DEFAULT_HORIZON = 200; the suites read 4 * (d1 + 1)
+    code, out, _ = run(capsys, "verify", "--suite", suite, "--gamma", "89698,1,89998,2")
+    assert code == 0, out
+
+
+def test_verify_sparse_angle_fails_only_the_doubling_gate(capsys):
+    # d1 = 1707: the characterize suite passes on its derived horizon, and the
+    # discrepancy suite fails only the deviation doubling gate (ROADMAP item 1)
+    failing = {}
+    for suite in ("characterize", "discrepancy"):
+        _, out, _ = run(capsys, "verify", "--suite", suite, "--gamma", "998,1,1000,2",
+                        "--format", "json")
+        for name, checks in json.loads(out)["results"]["suites"].items():
+            failing[name] = [c["name"] for c in checks if not c["passed"]]
+    assert failing == {"characterize": [], "discrepancy": ["deviation_maxima_stable"]}
+
+
+@pytest.mark.parametrize("argv", [
+    ("generate", "--from", "0", "--to", "5"), ("complexity",), ("balance",), ("homogeneous",),
+    ("intervals", "--n", "2"), ("frequency", "--word", "1"), ("discrepancy", "--word", "1"),
+    ("verify",),
+])
+def test_horizon_only_where_a_profile_is_built(capsys, argv):
+    code, _, err = run(capsys, *argv, "--horizon", "50")
+    assert code == 1 and "unrecognized arguments: --horizon 50" in err
+
+
 def test_characterize_angle_with_d1_past_the_enumeration_cap(capsys):
     # d1 = 17071 lies past max_m = 4096, so the grown profile still lists no
     # distance; at enclosing length 2 no zero run can bind either

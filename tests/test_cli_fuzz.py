@@ -15,16 +15,18 @@ WORDS = ("0", "1", "01", "010", "0011", "10011")
 BAD_WORDS = ("", "abc", "1,1,1,4")
 
 # option -> (small valid values, boundary or malformed values); the sizes
-# are capped so that every valid call is cheap
+# are capped so that every valid call is cheap.  The valid angles include a
+# sparse one (d1 = 1707) and one within 2**-64 of 1, whose sizes read from
+# gamma pass every cap
 COMMON = {
     "--gamma": (
-        ("fib", "0,1,2,2", "-1,1,1,3", "1,1,4,3"),
+        ("fib", "0,1,2,2", "-1,1,1,3", "1,1,4,3", "998,1,1000,2", "-1311738121,3166815962,3166815962,2"),
         ("ratio:13/21", "ratio:x", "ratio:1/0", "1,1,1,4", "-2,1,5,1", "abc", "1/0", "-1"),
     ),
     "--psi": (("fib", "0,0,1,0", "-1,1,1,3", "1,1,4,3"), ("1,1,1,4", "abc", "-1")),
-    "--horizon": (("25", "60"), BAD_INTS),
     "--format": (("json", "csv", "text"), ("xml",)),
 }
+HORIZON = {"--horizon": (("25", "60"), BAD_INTS)}
 WINDOW = {"--word": (WORDS, BAD_WORDS), "--from": (("5",), ("-1",)), "--to": (("60",), BAD_INTS)}
 OPTIONS = {
     "generate": {
@@ -32,7 +34,7 @@ OPTIONS = {
         "--to": (("40",), BAD_INTS),
         "--err-bound": (("1/400",), BAD_FRACTIONS),
     },
-    "distances": {},
+    "distances": HORIZON,
     "complexity": {"--n-max": (("4",), BAD_INTS)},
     "balance": WINDOW,
     "homogeneous": WINDOW,
@@ -43,14 +45,15 @@ OPTIONS = {
         "--max-len": (("10", "50"), BAD_INTS),
         "--trials": (("3",), BAD_INTS),
     },
-    "characterize": {"--n": (("5",), BAD_INTS)},
-    "exclusion": {"--period": (("7",), BAD_INTS)},
+    "characterize": {"--n": (("5",), BAD_INTS), **HORIZON},
+    "exclusion": {"--period": (("7",), BAD_INTS), **HORIZON},
     "energy": {
         "--word": (WORDS, BAD_WORDS),
         "--decay": (("1/2", "1/3"), BAD_FRACTIONS),
         "--penalty": (("1", "2"), BAD_FRACTIONS),
+        **HORIZON,
     },
-    "ground-state": {"--length": (("6", "10"), BAD_INTS + ("1001",))},
+    "ground-state": {"--length": (("6", "10"), BAD_INTS + ("1001",)), **HORIZON},
     "verify": {},
 }
 REQUIRED = {

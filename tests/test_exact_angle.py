@@ -4,6 +4,7 @@ import random
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sturmgas.errors import FieldMismatchError, InvalidRotationError
@@ -17,8 +18,10 @@ from sturmgas.exact_angle import (
     convergents,
     parse_qi,
     qi_make,
+    recurrence_length,
     rotate,
 )
+from sturmgas.sturmian_gen import generate
 
 getcontext().prec = 60
 
@@ -221,3 +224,41 @@ def test_endpoint_hits():
     assert RotationParams(GOLDEN, GOLDEN).endpoint_hits() == (-1, 0)
     generic = RotationParams(GOLDEN, QuadIrrational.from_fraction(Fraction(1, 3)))
     assert generic.endpoint_hits() is None
+
+
+#: the four panel angles, a third d1 = 3 angle and the two sparse ones
+RECURRENCE_ANGLES = (
+    "fib", "0,1,2,2", "-1,1,1,3", "1,1,4,3", "3,1,7,2", "998,1,1000,2", "89698,1,89998,2"
+)
+
+
+def _measured_recurrence(bits: np.ndarray, n: int) -> int:
+    """Fewest N such that every N-site window of bits holds each length-n factor."""
+    codes = sum(bits[k : len(bits) - n + 1 + k].astype(np.int64) << k for k in range(n))
+    values = np.unique(codes)
+    assert len(values) == n + 1, f"{len(values)} factors of length {n}"
+    # a window misses a factor iff it holds no start of it: the longest run
+    # of starts without one, from either end of the word, plus n
+    return max(
+        int(np.diff(np.concatenate(([-1], np.flatnonzero(codes == v), [len(codes)]))).max())
+        for v in values
+    ) + n - 1
+
+
+@pytest.mark.parametrize("gamma", RECURRENCE_ANGLES)
+def test_recurrence_length_matches_measured_recurrence(gamma):
+    g = parse_qi(gamma)
+    word = generate(RotationParams(g, QI_ZERO), 0, (1 << 16) - 1).symbols
+    bits = np.frombuffer(word.encode(), dtype=np.uint8) - ord("0")
+    for n in range(1, 25):
+        assert recurrence_length(g, n) == _measured_recurrence(bits, n), n
+
+
+@pytest.mark.parametrize("gamma", RECURRENCE_ANGLES + ("-1311738121,3166815962,3166815962,2",))
+def test_recurrence_length_matches_convergent_formula(gamma):
+    # R(n) = n + q_k + q_{k+1} - 1 for convergent denominators q_k <= n < q_{k+1}
+    g = parse_qi(gamma)
+    qs = [q for _, q in convergents(g, 64)]
+    for n in [*range(1, 300), 10**12]:
+        k = max(i for i, q in enumerate(qs[:-1]) if q <= n)
+        assert recurrence_length(g, n) == n + qs[k] + qs[k + 1] - 1, n

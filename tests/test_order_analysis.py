@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from sturmgas.errors import (
+    InconclusiveError,
     InsufficientProfileError,
     InternalConsistencyError,
     UndecidableWindowError,
@@ -21,10 +22,12 @@ from sturmgas.exact_angle import (
     RotationParams,
     parse_qi,
     qi_make,
+    recurrence_length,
 )
 from sturmgas.sturmian_gen import Word, generate
 from sturmgas import order_analysis
 from sturmgas.order_analysis import (
+    SIZE_CAP,
     BalanceVerdict,
     DistanceProfile,
     distance_profile,
@@ -66,6 +69,30 @@ def test_factor_complexity_monotone_and_bounded():
     counts = [report.p[n] for n in range(1, 11)]
     assert counts == sorted(counts)
     assert all(c <= 2**n for n, c in enumerate(counts, start=1))
+
+
+@pytest.mark.parametrize("gamma", ["998,1,1000,2", "89698,1,89998,2"])
+def test_factor_complexity_minimal_at_sparse_angles(gamma):
+    # d1 = 1707 and 301: a window of a hundred sites is almost all 0's and
+    # shows only 3 factors from n = 3 on; the recurrence-length window shows all
+    report = factor_complexity(RotationParams(parse_qi(gamma), QI_ZERO), 12)
+    assert report.p == {n: n + 1 for n in range(1, 13)}
+    assert report.window_len == recurrence_length(parse_qi(gamma), 12)
+
+
+def test_factor_complexity_refuses_a_window_past_the_cap(monkeypatch):
+    # within 2**-64 of 1, R(5) is about 2.8e19 sites: refused, not generated
+    near_one = RotationParams(parse_qi("-1311738121,3166815962,3166815962,2"), QI_ZERO)
+
+    def no_window(*args):
+        raise AssertionError("a window was generated")
+
+    monkeypatch.setattr(order_analysis, "generate", no_window)
+    with pytest.raises(InconclusiveError) as err:
+        factor_complexity(near_one, 5)
+    needed = recurrence_length(near_one.gamma, 5)
+    assert needed > 10**19 and err.value.info == {"needed": needed}
+    assert str(err.value).endswith(f"{needed} is above the cap {SIZE_CAP}")
 
 
 def test_balance_verdicts():
