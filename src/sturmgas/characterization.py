@@ -13,8 +13,8 @@ from typing import Optional
 
 from .discrepancy import component_intervals
 from .errors import InconclusiveError, InsufficientProfileError, InternalConsistencyError
-from .exact_angle import QI_ONE, RotationParams
-from .order_analysis import DistanceProfile, ensure_horizon
+from .exact_angle import RotationParams
+from .order_analysis import DistanceProfile, ensure_horizon, first_distance
 from .sturmian_gen import Word, generate
 
 
@@ -125,9 +125,8 @@ def enumerate_legal_stable(
     rotation = profile.params if rotation is None else rotation
     if rotation is None:
         raise InsufficientProfileError("no rotation is given or attached to label the arcs")
-    if profile.params is not None:  # the zero-run rule needs d1 = floor(1/(1 - gamma))
-        d1 = (QI_ONE - profile.params.gamma).reciprocal().floor()
-        profile = ensure_horizon(profile, min(d1, max_m))
+    if profile.params is not None:  # the zero-run rule needs d1
+        profile = ensure_horizon(profile, min(first_distance(profile.params.gamma), max_m))
     m, step, labels = n, 2, None
     while m <= max_m:
         legal = enumerate_legal(n, m, ensure_horizon(profile, m - 1), budget)

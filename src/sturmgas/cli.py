@@ -29,11 +29,15 @@ from .errors import (
 from .exact_angle import RotationParams, parse_qi
 from .sturmian_gen import ApproxRotation, Word, generate, generate_approx
 from .order_analysis import (
+    SIZE_CAP,
     DistanceProfile,
+    capped_size,
     distance_profile,
     factor_complexity,
+    first_distance,
     is_balanced,
     is_most_homogeneous,
+    profile_for,
     profile_structure,
 )
 from .discrepancy import component_intervals, frequency, strict_boundary_check
@@ -111,7 +115,8 @@ def build_parser() -> _Parser:
         help="error bound for ratio:p/q mode (default 1/q^2)",
     )
 
-    add_parser("distances", "spacing sequence with allowed/forbidden split")
+    p = add_parser("distances", "spacing sequence with allowed/forbidden split")
+    p.add_argument("--horizon", type=int, default=200, help="profile horizon")
 
     p = add_parser("complexity", "distinct factor counts per length")
     p.add_argument("--n-max", type=int, default=12)
@@ -159,9 +164,6 @@ def build_parser() -> _Parser:
         default="all",
     )
     p.add_argument("--profile", help="JSON distance-profile file overriding the computed one")
-
-    for name in ("distances", "characterize", "exclusion", "energy", "ground-state"):
-        sub.choices[name].add_argument("--horizon", type=int, default=200, help="profile horizon")
     return parser
 
 
@@ -201,7 +203,7 @@ def cmd_generate(args):
 
 
 def cmd_distances(args):
-    profile = distance_profile(_exact_params(args), args.horizon)
+    profile = distance_profile(_exact_params(args), capped_size(args.horizon, "profile horizon"))
     structure = profile_structure(profile)
     results = {
         "d": list(profile.d),
@@ -311,7 +313,7 @@ def cmd_discrepancy(args):
 
 
 def cmd_characterize(args):
-    profile = distance_profile(_exact_params(args), args.horizon)
+    profile = profile_for(_exact_params(args), args.n)
     legal, used = enumerate_legal_stable(args.n, profile)
     words = sorted(w.symbols for w in legal)
     results = {
@@ -327,7 +329,8 @@ def cmd_characterize(args):
 
 
 def cmd_exclusion(args):
-    profile = distance_profile(_exact_params(args), args.horizon)
+    # periodic_exclusion reads the coding past the horizon: a period above the cap has an answer
+    profile = profile_for(_exact_params(args), min(args.period, SIZE_CAP))
     i = periodic_exclusion(args.period, profile)
     results = {"period": args.period, "multiple": i, "distance": i * args.period}
     text = f"{i} * {args.period} = {i * args.period} is a forbidden distance"
@@ -335,9 +338,10 @@ def cmd_exclusion(args):
 
 
 def cmd_energy(args):
-    profile = distance_profile(_exact_params(args), args.horizon)
+    params, w = _exact_params(args), Word(args.word)
+    profile = profile_for(params, max(len(w) - 1, first_distance(params.gamma)))
     spec = build_interaction(profile, args.decay, args.penalty)
-    breakdown = energy_open(Word(args.word), spec)
+    breakdown = energy_open(w, spec)
     results = {
         "word": args.word,
         "total": f"{breakdown.total.numerator}/{breakdown.total.denominator}",
@@ -352,8 +356,8 @@ def cmd_energy(args):
 
 def cmd_ground_state(args):
     # the search refuses a length above its cap: build no profile that long first
-    horizon = max(args.horizon, min(args.length, SEARCH_CAP))
-    profile = distance_profile(_exact_params(args), horizon)
+    params = _exact_params(args)
+    profile = profile_for(params, max(min(args.length, SEARCH_CAP), first_distance(params.gamma)))
     spec = build_interaction(profile, args.decay, args.penalty)
     result = ground_state_search(args.length, spec)
     words = sorted(w.symbols for w in result.argmin)

@@ -224,7 +224,7 @@ def periodic_energy_density(
     trunc, lhs, rhs = 0, a * tail_tol.denominator, tail_tol.numerator * (b - a)
     while lhs >= rhs:
         lhs, rhs, trunc = lhs * a, rhs * b, trunc + 1
-    profile = ensure_horizon(spec.profile, max(trunc, spec.profile.horizon))
+    profile = ensure_horizon(spec.profile, trunc)
     x = int(period_word.symbols[::-1], 2)
     mask = (1 << p) - 1
 
@@ -234,7 +234,7 @@ def periodic_energy_density(
 
     hits = [(x & rot(r)).bit_count() for r in range(p)]
     covered = 0
-    for s in range(spec.zero_run_len):
+    for s in range(min(spec.zero_run_len, p)):  # rot(s) depends on s mod p only
         covered |= rot(s)
     runs = p - covered.bit_count()
     numerator = 0

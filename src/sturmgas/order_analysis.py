@@ -21,7 +21,7 @@ from .errors import (
     InternalConsistencyError,
     UndecidableWindowError,
 )
-from .exact_angle import QI_ZERO, RotationParams, recurrence_length
+from .exact_angle import QI_ONE, QI_ZERO, QuadIrrational, RotationParams, recurrence_length
 from .sturmian_gen import Word, generate
 
 
@@ -335,6 +335,16 @@ def distance_profile(params: RotationParams, horizon: int) -> DistanceProfile:
     profile = DistanceProfile(d, horizon, forbidden, params=base)
     profile.check_increments()
     return profile
+
+
+def first_distance(gamma: QuadIrrational) -> int:
+    """d1 = floor(1/(1 - gamma)), the smallest distance between two 1's."""
+    return (QI_ONE - gamma).reciprocal().floor()
+
+
+def profile_for(params: RotationParams, span: int) -> DistanceProfile:
+    """distance_profile at horizon max(2, span); above SIZE_CAP, refused before it is built."""
+    return distance_profile(params, capped_size(max(2, span), "profile horizon"))
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,10 @@ from .order_analysis import (
     distance_profile,
     factor_complexity,
     factor_set,
+    first_distance,
     is_balanced,
     is_most_homogeneous,
+    profile_for,
     profile_structure,
 )
 from .discrepancy import (
@@ -89,8 +91,7 @@ def _check(name: str, fn) -> CheckResult:
 
 def _default_profile(params: RotationParams) -> DistanceProfile:
     """The suites' profile, past d_4 <= 4 * (d1 + 1) and at least DEFAULT_HORIZON."""
-    horizon = max(DEFAULT_HORIZON, 4 * ((QI_ONE - params.gamma).reciprocal().floor() + 1))
-    return distance_profile(params, capped_size(horizon, "profile horizon"))
+    return profile_for(params, max(DEFAULT_HORIZON, 4 * (first_distance(params.gamma) + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +109,7 @@ def equivalence_ensemble(gamma: QuadIrrational, count: int):
     """
     rng = random.Random(EQUIV_SEED)
     # every d1 + 1 consecutive sites hold a 1, so this many hold three or more
-    min_len = 3 * ((QI_ONE - gamma).reciprocal().floor() + 1)
+    min_len = 3 * (first_distance(gamma) + 1)
     for _ in range(count):
         length = max(rng.randrange(24, EQUIV_MAX_LEN + 1), min_len)
         i0 = rng.randrange(-1000, 1000)
@@ -193,10 +194,10 @@ def suite_order(params: RotationParams) -> list[CheckResult]:
     checks.append(_check("distance_floor_formula", floor_formula))
 
     def forbidden_words():
-        run = "0" * (profile.d1 + 1)
+        run = profile.d1 + 1
         assert "11" not in w.symbols, "adjacent 1's occurred"
-        assert run not in w.symbols, f"{len(run)} consecutive 0's occurred"
-        return f"no '11' or '{run}' in window of {DEFAULT_WINDOW}"
+        assert "0" * run not in w.symbols, f"{run} consecutive 0's occurred"
+        return f"no '11' or run of {run} '0's in window of {DEFAULT_WINDOW}"
 
     checks.append(_check("forbidden_words_absent", forbidden_words))
 

@@ -207,7 +207,7 @@ def test_characterize_sparse_angle_matches_arc_labels(capsys):
     # one 1 in about 300 sites: a window of a few hundred sites misses
     # most length-8 factors, the n + 1 arc labels do not
     code, out, _ = run(capsys, "characterize", "--n", "8", "--gamma", "89698,1,89998,2",
-                       "--horizon", "400", "--format", "json")
+                       "--format", "json")
     assert code == 0
     results = json.loads(out)["results"]
     assert results["count"] == 9 and results["matches_factor_set"] is True
@@ -235,6 +235,36 @@ def test_complexity_refuses_a_window_past_the_cap(capsys, monkeypatch):
     assert code == 2
     needed = json.loads(out)["error"]["info"]["needed"]
     assert needed > 10**19 and f"factor window for n <= 5 {needed}" in err
+
+
+def test_distances_refuses_a_horizon_past_the_cap(capsys, monkeypatch):
+    monkeypatch.setattr(sturmgas.order_analysis, "generate", _no_call)
+    code, out, _ = run(capsys, "distances", "--horizon", "100000000000", "--format", "json")
+    assert code == 2 and json.loads(out)["error"]["info"] == {"needed": 10**11}
+    # a horizon below 2 is a usage error, not clamped
+    assert run(capsys, "distances", "--horizon", "1")[0] == 1
+
+
+@pytest.mark.parametrize("argv", [("energy", "--word", "0011"), ("ground-state", "--length", "10")])
+def test_energy_and_ground_state_refuse_a_d1_past_the_cap(capsys, monkeypatch, argv):
+    # the vacancy-run term needs d1, about 2.8e19 here
+    monkeypatch.setattr(sturmgas.order_analysis, "generate", _no_call)
+    code, out, _ = run(capsys, *argv, "--gamma", NEAR_ONE, "--format", "json")
+    assert code == 2 and json.loads(out)["error"]["info"]["needed"] > 10**19
+
+
+@pytest.mark.parametrize("argv", [("characterize", "--n", "5"), ("exclusion", "--period", "7")])
+def test_questions_without_d1_answer_near_one(capsys, argv):
+    assert run(capsys, *argv, "--gamma", NEAR_ONE)[0] == 0
+
+
+@pytest.mark.parametrize("gamma", ["998,1,1000,2", "89698,1,89998,2"])
+def test_energy_and_ground_state_read_d1_past_200(capsys, gamma):
+    # d1 = 1707 and 301: the profile reaches d1 without a horizon option
+    assert run(capsys, "energy", "--word", "0011", "--gamma", gamma)[:2] == (
+        0, "energy(0011) = 1/2\n")
+    code, out, _ = run(capsys, "ground-state", "--length", "10", "--gamma", gamma)
+    assert code == 0 and out == "minimum energy 0/1 over 1024 states; 11 ground words\n"
 
 
 def test_verify_refuses_a_horizon_past_the_cap(capsys, monkeypatch):
@@ -267,7 +297,8 @@ def test_verify_sparse_angle_fails_only_the_doubling_gate(capsys):
 @pytest.mark.parametrize("argv", [
     ("generate", "--from", "0", "--to", "5"), ("complexity",), ("balance",), ("homogeneous",),
     ("intervals", "--n", "2"), ("frequency", "--word", "1"), ("discrepancy", "--word", "1"),
-    ("verify",),
+    ("verify",), ("characterize", "--n", "2"), ("exclusion", "--period", "2"),
+    ("energy", "--word", "1"), ("ground-state", "--length", "2"),
 ])
 def test_horizon_only_where_a_profile_is_built(capsys, argv):
     code, _, err = run(capsys, *argv, "--horizon", "50")
@@ -327,13 +358,13 @@ def test_ground_state_oversized_usage_error(capsys):
 
 def test_ground_state_huge_length_builds_no_huge_profile(capsys, monkeypatch):
     horizons = []
-    real = sturmgas.cli.distance_profile
+    real = sturmgas.order_analysis.distance_profile
 
     def recording(params, horizon):
         horizons.append(horizon)
         return real(params, horizon)
 
-    monkeypatch.setattr(sturmgas.cli, "distance_profile", recording)
+    monkeypatch.setattr(sturmgas.order_analysis, "distance_profile", recording)
     code, _, err = run(capsys, "ground-state", "--length", str(10**9))
     assert code == 1 and "refusing" in err
     assert horizons == [SEARCH_CAP]

@@ -26,7 +26,6 @@ COMMON = {
     "--psi": (("fib", "0,0,1,0", "-1,1,1,3", "1,1,4,3"), ("1,1,1,4", "abc", "-1")),
     "--format": (("json", "csv", "text"), ("xml",)),
 }
-HORIZON = {"--horizon": (("25", "60"), BAD_INTS)}
 WINDOW = {"--word": (WORDS, BAD_WORDS), "--from": (("5",), ("-1",)), "--to": (("60",), BAD_INTS)}
 OPTIONS = {
     "generate": {
@@ -34,7 +33,8 @@ OPTIONS = {
         "--to": (("40",), BAD_INTS),
         "--err-bound": (("1/400",), BAD_FRACTIONS),
     },
-    "distances": HORIZON,
+    # above the cap, the horizon is refused before anything is built
+    "distances": {"--horizon": (("25", "60"), BAD_INTS + ("100000000000",))},
     "complexity": {"--n-max": (("4",), BAD_INTS)},
     "balance": WINDOW,
     "homogeneous": WINDOW,
@@ -45,15 +45,14 @@ OPTIONS = {
         "--max-len": (("10", "50"), BAD_INTS),
         "--trials": (("3",), BAD_INTS),
     },
-    "characterize": {"--n": (("5",), BAD_INTS), **HORIZON},
-    "exclusion": {"--period": (("7",), BAD_INTS), **HORIZON},
+    "characterize": {"--n": (("5",), BAD_INTS)},
+    "exclusion": {"--period": (("7",), BAD_INTS)},
     "energy": {
         "--word": (WORDS, BAD_WORDS),
         "--decay": (("1/2", "1/3"), BAD_FRACTIONS),
         "--penalty": (("1", "2"), BAD_FRACTIONS),
-        **HORIZON,
     },
-    "ground-state": {"--length": (("6", "10"), BAD_INTS + ("1001",)), **HORIZON},
+    "ground-state": {"--length": (("6", "10"), BAD_INTS + ("1001",))},
     "verify": {},
 }
 REQUIRED = {

@@ -11,7 +11,7 @@ import sturmgas.lattice_gas
 from sturmgas.errors import InsufficientProfileError, InternalConsistencyError
 from sturmgas.exact_angle import GOLDEN, QI_ZERO, RotationParams, parse_qi
 from sturmgas.sturmian_gen import Word, generate
-from sturmgas.order_analysis import distance_profile, ensure_horizon
+from sturmgas.order_analysis import distance_profile, ensure_horizon, first_distance
 from sturmgas.characterization import enumerate_legal, is_locally_legal
 from sturmgas.lattice_gas import (
     SEARCH_CAP,
@@ -213,15 +213,17 @@ def test_energy_open_matches_reference(gamma):
                 )
 
 
-@pytest.mark.parametrize("gamma", PANEL)
+@pytest.mark.parametrize("gamma", (*PANEL, "89698,1,89998,2"))
 def test_periodic_density_matches_reference(gamma):
-    # every cell of period <= 8; the three tolerances take turns by cell
-    profile = distance_profile(_panel_params(gamma), 200)
+    # every cell of period <= 8 (6 at the sparse angle, where d1 = 301);
+    # the three tolerances take turns by cell
+    params = _panel_params(gamma)
+    profile = distance_profile(params, max(200, first_distance(params.gamma)))
     tolerances = [Fraction(1, 10**12), Fraction(1, 10**9), Fraction(1, 10**3)]
     turn = 0
     for decay in DECAYS:
         spec = build_interaction(profile, decay, Fraction(3, 2))
-        for p in range(1, 9):
+        for p in range(1, 9 if gamma in PANEL else 7):
             for content in range(1 << p):
                 cell = Word(format(content, f"0{p}b"))
                 tol = tolerances[turn % 3]
