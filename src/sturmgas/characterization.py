@@ -106,12 +106,12 @@ def enumerate_legal(
     return found
 
 
+#: the largest enclosing length enumerate_legal_stable tries before giving up
+ENCLOSING_CAP = 4096
+
+
 def enumerate_legal_stable(
-    n: int,
-    profile: DistanceProfile,
-    rotation: Optional[RotationParams] = None,
-    max_m: int = 4096,
-    budget: int = 10_000_000,
+    n: int, profile: DistanceProfile, rotation: Optional[RotationParams] = None
 ) -> tuple[set[Word], int]:
     """Certify that the legal central words of length n are the arc labels.
 
@@ -119,17 +119,18 @@ def enumerate_legal_stable(
     ``rotation`` (default: the profile's) are the length-n factors; each sits
     centrally in a legal coding window, so they lie in ``enumerate_legal(n, M)``
     for every M, and that set never grows with M: equality at one M holds at
-    every larger M.  M runs over n, n + 2, n + 4, n + 8, ... up to max_m.  An
-    attached profile first grows to d1 (at most max_m); a detached one is not.
+    every larger M.  M runs over n, n + 2, n + 4, n + 8, ... up to
+    ENCLOSING_CAP.  An attached profile first grows to d1 (at most
+    ENCLOSING_CAP); a detached one is not.
     """
     rotation = profile.params if rotation is None else rotation
     if rotation is None:
         raise InsufficientProfileError("no rotation is given or attached to label the arcs")
     if profile.params is not None:  # the zero-run rule needs d1
-        profile = ensure_horizon(profile, min(first_distance(profile.params.gamma), max_m))
+        profile = ensure_horizon(profile, min(first_distance(profile.params.gamma), ENCLOSING_CAP))
     m, step, labels = n, 2, None
-    while m <= max_m:
-        legal = enumerate_legal(n, m, ensure_horizon(profile, m - 1), budget)
+    while m <= ENCLOSING_CAP:
+        legal = enumerate_legal(n, m, ensure_horizon(profile, m - 1))
         labels = labels or set(component_intervals(rotation, n).words)
         missing = sorted(w.symbols for w in labels - legal)
         if missing:
@@ -140,7 +141,7 @@ def enumerate_legal_stable(
             return legal, m
         m, step = n + step, 2 * step
     raise InconclusiveError(
-        f"legal words of length {n} not certified below enclosing-length cap {max_m}",
+        f"legal words of length {n} not certified below enclosing-length cap {ENCLOSING_CAP}",
         length_reached=m,
     )
 

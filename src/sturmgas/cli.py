@@ -19,7 +19,6 @@ from typing import Optional
 
 from . import __version__
 from .errors import (
-    AmbiguousCodingError,
     HorizonExceededError,
     InconclusiveError,
     InsufficientProfileError,
@@ -41,7 +40,7 @@ from .order_analysis import (
     profile_structure,
 )
 from .discrepancy import component_intervals, frequency, strict_boundary_check
-from .characterization import enumerate_legal_stable, periodic_exclusion
+from .characterization import ENCLOSING_CAP, enumerate_legal_stable, periodic_exclusion
 from .lattice_gas import SEARCH_CAP, build_interaction, energy_open, ground_state_search
 from .verify import SUITES, run_suites
 
@@ -50,10 +49,10 @@ LIMIT_EXIT = 2
 INVARIANT_EXIT = 3
 
 _LIMIT_ERRORS = (
-    AmbiguousCodingError,
     HorizonExceededError,
     InconclusiveError,
     InsufficientProfileError,
+    MemoryError,  # numpy refuses an oversized window before allocating it
     UndecidableWindowError,
 )
 _INVARIANT_ERRORS = (InternalConsistencyError,)
@@ -313,7 +312,8 @@ def cmd_discrepancy(args):
 
 
 def cmd_characterize(args):
-    profile = profile_for(_exact_params(args), args.n)
+    # the certificate grows the profile itself, and refuses any n above the cap
+    profile = profile_for(_exact_params(args), min(args.n, ENCLOSING_CAP))
     legal, used = enumerate_legal_stable(args.n, profile)
     words = sorted(w.symbols for w in legal)
     results = {

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import AmbiguousCodingError, InvalidRotationError
+from .errors import InvalidRotationError
 from .exact_angle import QI_ZERO, QuadIrrational, RotationParams, _sign_surd, qi_make, rotate
 from .sturmian_gen import Word, generate
 
@@ -44,33 +44,27 @@ def component_intervals(params: RotationParams, n: int) -> ComponentIntervals:
     """Cut the circle at the preimages of both coding boundaries.
 
     The boundaries {0, gamma} pulled back through offsets 0..n-1 give the
-    points frac(m * gamma) for m in [-(n-1), 1]; there are n + 1 of them,
-    and each resulting arc is labeled by the word :func:`generate` codes
-    from one interior sample, whose orbit must miss both boundaries for n
-    steps (decided exactly by :meth:`RotationParams.endpoint_hits`).
+    points frac(m * gamma) for m in [-(n-1), 1]; there are n + 1 of them.
+    The arc starting at cut m holds no cut inside, and the half-open rule
+    codes a landing on 0 as 0 and on gamma as 1, the sides its interior
+    lies on; so its label is the phase-0 coding of indices m..m+n-1, and
+    all labels are slices of one window of 2n symbols.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     g = params.gamma
-    cuts = [rotate(QI_ZERO, g, m) for m in range(-(n - 1), 2)]
-    cuts.sort()
+    cuts, indices = zip(*sorted((rotate(QI_ZERO, g, m), m) for m in range(-(n - 1), 2)))
     for u, v in zip(cuts, cuts[1:]):
         if u == v:
             raise InvalidRotationError(
                 "duplicate cut points; the rotation angle is not irrational"
             )
-    pairs = [(cuts[k], cuts[k + 1]) for k in range(len(cuts) - 1)]
-    pairs.append((cuts[-1], cuts[0] + 1))
-    words = []
-    for lo, hi in pairs:
-        sample = RotationParams(g, ((lo + hi) / 2).frac())
-        hits = sample.endpoint_hits()
-        if hits is not None and any(0 <= i < n for i in hits):
-            raise AmbiguousCodingError("interior sample landed on a coding boundary")
-        words.append(generate(sample, 0, n - 1))
+    pairs = tuple(zip(cuts, cuts[1:] + (cuts[0] + 1,)))
+    coding = generate(RotationParams(g, QI_ZERO), -(n - 1), n).symbols
+    words = tuple(Word(coding[m + n - 1 : m + 2 * n - 1]) for m in indices)
     if len(set(words)) != n + 1:
         raise InvalidRotationError("arc labels are not pairwise distinct")
-    return ComponentIntervals(n, tuple(cuts), tuple(pairs), tuple(words))
+    return ComponentIntervals(n, cuts, pairs, words)
 
 
 def frequency(params: RotationParams, w: Word) -> QuadIrrational:

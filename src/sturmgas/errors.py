@@ -9,10 +9,6 @@ class FieldMismatchError(SturmgasError, ValueError):
     """Two irrational operands live in different quadratic fields."""
 
 
-class AmbiguousCodingError(SturmgasError):
-    """A coding decision landed exactly on a boundary it cannot resolve."""
-
-
 class HorizonExceededError(SturmgasError):
     """A certified-approximation margin failed inside the requested window.
 

@@ -345,7 +345,9 @@ def suite_characterize(
             grown = distance_profile(params, max(prof.horizon, span))
             for content in range(1 << p):
                 cell = "".join("1" if (content >> k) & 1 else "0" for k in range(p))
-                x = (cell * (span // p + 1))[:span]
+                # a 1 meets its copy at the forbidden distance i*p within 2*i*p
+                # sites, so only the empty cell needs the d1 + 1 zero run
+                x = cell * (2 * i) if content else "0" * span
                 verdict = is_locally_legal(Word(x), grown)
                 assert not verdict.legal, f"period-{p} content {cell} passed"
         return f"every periodic content up to period {DEFAULT_N_MAX} rejected"
@@ -374,9 +376,10 @@ def suite_energy(
     spec = build_interaction(prof, DECAY_BASE, PENALTY)
 
     def summable():
-        total = sum(
-            (spec.coupling(j) for j in sorted(prof.forbidden)), Fraction(0)
-        )
+        # decay_base = a/b: one integer numerator over b**top, as energy_open sums
+        a, b = DECAY_BASE.numerator, DECAY_BASE.denominator
+        top = max(prof.forbidden, default=0)
+        total = Fraction(sum(a**j * b ** (top - j) for j in prof.forbidden), b**top)
         bound = DECAY_BASE / (1 - DECAY_BASE)
         assert total <= bound, f"coupling sum {total} above geometric bound"
         return f"sum of couplings {float(total):.6f} <= {float(bound):.6f}"

@@ -126,8 +126,6 @@ def test_benchmark_traced_names_exist():
 DEFAULTED_PARAMETERS = {
     "characterization.enumerate_legal.budget",
     "characterization.enumerate_legal_stable.rotation",
-    "characterization.enumerate_legal_stable.max_m",
-    "characterization.enumerate_legal_stable.budget",
     "cli.main.argv",
     "discrepancy.strict_boundary_check.trials",
     "exact_angle._floor_surd.shift",

@@ -199,14 +199,15 @@ def test_certificate_rejects_an_illegal_label():
     assert Word(err.value.args[0].split()[2]) in component_intervals(FIB, 10).words
 
 
-def test_certificate_cap_reports_next_length():
+def test_certificate_cap_reports_next_length(monkeypatch):
+    monkeypatch.setattr(characterization, "ENCLOSING_CAP", 8)
     # at fib, n = 8 is certified at M = 10, one step past a cap of 8
     with pytest.raises(InconclusiveError) as err:
-        enumerate_legal_stable(8, PROFILE, max_m=8)
+        enumerate_legal_stable(8, PROFILE)
     assert err.value.info["length_reached"] == 10
     # a length above the cap stops before labelling any arc
     with pytest.raises(InconclusiveError) as err:
-        enumerate_legal_stable(9, PROFILE, max_m=8)
+        enumerate_legal_stable(9, PROFILE)
     assert err.value.info["length_reached"] == 9
 
 

@@ -8,6 +8,7 @@ import pytest
 
 import sturmgas.cli
 import sturmgas.verify
+from sturmgas.characterization import ENCLOSING_CAP
 from sturmgas.cli import build_parser, main
 from sturmgas.errors import InconclusiveError
 from sturmgas.exact_angle import GOLDEN, RotationParams
@@ -100,6 +101,36 @@ def test_characterize_certifies_past_the_doubling_cap(capsys):
     results = json.loads(out)["results"]
     assert results["M_used"] == 515 and results["count"] == 514
     assert results["matches_factor_set"] is True
+
+
+def test_characterize_above_the_cap_builds_no_large_profile(capsys, monkeypatch):
+    real = sturmgas.order_analysis.distance_profile
+
+    def capped(params, horizon):
+        assert horizon <= ENCLOSING_CAP, f"built a profile of horizon {horizon}"
+        return real(params, horizon)
+
+    monkeypatch.setattr(sturmgas.order_analysis, "distance_profile", capped)
+    code, out, _ = run(capsys, "characterize", "--n", "65536", "--format", "json")
+    assert code == 2
+    assert json.loads(out)["error"]["info"] == {"length_reached": 65536}
+
+
+@pytest.mark.parametrize("argv", [
+    ("generate", "--from", "0", "--to", "1000000000000"),
+    ("homogeneous", "--from", "0", "--to", "1000000000000"),
+    ("discrepancy", "--word", "1", "--max-len", "1000000000000"),
+])
+def test_huge_window_is_a_computation_limit(capsys, argv):
+    # numpy refuses a window of terabytes at once, before allocating it
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("computation limit: ") and "MemoryError" in err
+    assert err.count("\n") == 1
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"].endswith("MemoryError") and "allocate" in error["message"]
 
 
 def test_inconclusive_report_lists_partial_words(monkeypatch, capsys):
@@ -306,7 +337,7 @@ def test_horizon_only_where_a_profile_is_built(capsys, argv):
 
 
 def test_characterize_angle_with_d1_past_the_enumeration_cap(capsys):
-    # d1 = 17071 lies past max_m = 4096, so the grown profile still lists no
+    # d1 = 17071 lies past ENCLOSING_CAP = 4096, so the grown profile still lists no
     # distance; at enclosing length 2 no zero run can bind either
     code, out, _ = run(capsys, "characterize", "--n", "2", "--gamma", "9998,1,10000,2",
                        "--format", "json")

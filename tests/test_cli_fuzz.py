@@ -83,6 +83,10 @@ PINNED = [
     ["discrepancy", "--word", "01", "--max-len", "10", "--trials", "0"],
     ["discrepancy", "--word", "1", "--max-len", "10", "--trials", "-1"],
     ["generate", "--gamma", "ratio:1/0", "--from", "0", "--to", "5"],
+    # numpy refuses these windows before allocating anything
+    ["generate", "--from", "0", "--to", "1000000000000"],
+    ["homogeneous", "--from", "0", "--to", "1000000000000"],
+    ["discrepancy", "--word", "1", "--max-len", "1000000000000"],
 ]
 
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from sturmgas import verify
-from sturmgas.errors import AmbiguousCodingError
 from sturmgas.exact_angle import GOLDEN, QI_ONE, QI_ZERO, RotationParams, parse_qi, qi_make
 from sturmgas.sturmian_gen import Word, generate, symbol_at
 from sturmgas.order_analysis import factor_set
@@ -66,16 +65,13 @@ def test_interval_labels_match_exact_rotation():
         for n in range(1, 31):
             ci = component_intervals(params, n)
             assert [w.symbols for w in ci.words] == _reference_labels(params, ci)
-
-
-def test_intervals_boundary_sample_is_ambiguous(monkeypatch):
-    # a midpoint never lands on a coding boundary, so force the report
-    n = 5
-    monkeypatch.setattr(RotationParams, "endpoint_hits", lambda self: (n, n + 1))
-    assert len(component_intervals(FIB, n).words) == n + 1
-    monkeypatch.setattr(RotationParams, "endpoint_hits", lambda self: (n - 1, n))
-    with pytest.raises(AmbiguousCodingError):
-        component_intervals(FIB, n)
+    # both sparse angles, (3 + sqrt(2))/7 and gamma within 2**-64 of 1
+    for spec in ("998,1,1000,2", "89698,1,89998,2", "3,1,7,2",
+                 "-1311738121,3166815962,3166815962,2"):
+        params = RotationParams(parse_qi(spec), QI_ZERO)
+        for n in range(1, 13):
+            ci = component_intervals(params, n)
+            assert [w.symbols for w in ci.words] == _reference_labels(params, ci)
 
 
 def test_interval_lengths_sum_to_one():
