@@ -62,14 +62,16 @@ def is_locally_legal(w: Word, profile: DistanceProfile) -> LegalityVerdict:
     return LegalityVerdict(False, Violation("zero_run", w.origin + zr_pos))
 
 
-def enumerate_legal(
-    n: int, big_m: int, profile: DistanceProfile, budget: int = 10_000_000
-) -> set[Word]:
+#: the most search nodes enumerate_legal visits before giving up
+ENUMERATION_BUDGET = 10_000_000
+
+
+def enumerate_legal(n: int, big_m: int, profile: DistanceProfile) -> set[Word]:
     """Length-n words appearing centrally in some legal word of length big_m.
 
     Depth-first extension with rejection at the first violation; the
-    search is exact, and exceeding the node budget raises with the partial
-    result rather than returning it silently.
+    search is exact, and visiting more than ENUMERATION_BUDGET nodes raises
+    with the partial result rather than returning it silently.
     """
     if n < 1 or big_m < n:
         raise ValueError("need 1 <= n <= big_m")
@@ -90,9 +92,9 @@ def enumerate_legal(
     while stack:
         depth, zero_run, bits = stack.pop()
         visited += 1
-        if visited > budget:
+        if visited > ENUMERATION_BUDGET:
             raise InconclusiveError(
-                f"search budget {budget} exceeded at length {big_m}",
+                f"search budget {ENUMERATION_BUDGET} exceeded at length {big_m}",
                 partial=set(found),
                 length_reached=big_m,
             )

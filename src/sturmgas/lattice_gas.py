@@ -199,9 +199,11 @@ class PeriodicDensity:
     truncation: int
 
 
-def periodic_energy_density(
-    period_word: Word, spec: InteractionSpec, tail_tol: Fraction = Fraction(1, 10**12)
-) -> PeriodicDensity:
+#: periodic_energy_density cuts the coupling tail where its bound per particle falls below this
+TAIL_TOL = Fraction(1, 10**12)
+
+
+def periodic_energy_density(period_word: Word, spec: InteractionSpec) -> PeriodicDensity:
     """Energy per site of the bi-infinite repetition of period_word.
 
     The coupling tail past the truncation distance T is dropped; every term
@@ -215,13 +217,10 @@ def periodic_energy_density(
     p = len(period_word)
     if p < 1:
         raise ValueError("need a nonempty period word")
-    tail_tol = Fraction(tail_tol)
-    if tail_tol <= 0:
-        raise ValueError("tail tolerance must be positive")
     a, b = spec.decay_base.numerator, spec.decay_base.denominator
-    # smallest T with lam**(T+1)/(1-lam) < tail_tol, in integers:
+    # smallest T with lam**(T+1)/(1-lam) < TAIL_TOL, in integers:
     # a**(T+1) * tol_den < tol_num * b**T * (b-a)
-    trunc, lhs, rhs = 0, a * tail_tol.denominator, tail_tol.numerator * (b - a)
+    trunc, lhs, rhs = 0, a * TAIL_TOL.denominator, TAIL_TOL.numerator * (b - a)
     while lhs >= rhs:
         lhs, rhs, trunc = lhs * a, rhs * b, trunc + 1
     profile = ensure_horizon(spec.profile, trunc)

@@ -362,17 +362,23 @@ class ProfileStructure:
 
 
 def profile_structure(profile: DistanceProfile) -> ProfileStructure:
-    """Group d-values into difference-2 blocks and check the forced shape.
+    """Group d-values into difference-2 blocks and check the profile's shape.
 
-    Blocks of size > 1 may occur only when d1 = 2, and for every d-value
-    at least one of d-1, d+2 must be forbidden (checked where the profile
-    horizon classifies both, i.e. d+2 <= horizon).
+    The increments of d are d1 or d1 + 1 (`check_increments`), so blocks of
+    size > 1 occur only when d1 = 2.  `forbidden` must be exactly the
+    complement of the union of {d_j, d_j + 1} in [1, horizon], the claim
+    `distance_profile` builds it on; a hand-built or loaded profile that
+    breaks it raises.
     """
     d = profile.d
-    if not d:
-        return ProfileStructure((), {})
     profile.check_increments()
-    blocks: list[list[int]] = [[d[0]]]
+    expected = frozenset(range(1, profile.horizon + 1)).difference(d, (v + 1 for v in d))
+    if profile.forbidden != expected:
+        wrong = sorted(profile.forbidden ^ expected)
+        raise InternalConsistencyError(
+            f"forbidden differs from the complement of {{d_j, d_j + 1}} at {wrong[:5]}"
+        )
+    blocks: list[list[int]] = [[d[0]]] if d else []
     for prev, nxt in zip(d, d[1:]):
         if nxt - prev == 2:
             blocks[-1].append(nxt)
@@ -381,15 +387,4 @@ def profile_structure(profile: DistanceProfile) -> ProfileStructure:
     classification = {
         v: ("singleton" if len(blk) == 1 else "block") for blk in blocks for v in blk
     }
-    if profile.d1 > 2 and any(len(blk) > 1 for blk in blocks):
-        raise InternalConsistencyError(
-            "difference-2 blocks found although the first distance exceeds 2"
-        )
-    for v in d:
-        if v + 2 <= profile.horizon and not (
-            v - 1 in profile.forbidden or v + 2 in profile.forbidden
-        ):
-            raise InternalConsistencyError(
-                f"neither {v - 1} nor {v + 2} is forbidden around distance {v}"
-            )
     return ProfileStructure(tuple(tuple(b) for b in blocks), classification)

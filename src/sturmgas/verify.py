@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Optional
 
-from .errors import SturmgasError, UndecidableWindowError
+from .errors import SturmgasError
 from .exact_angle import QI_ONE, QI_ZERO, QuadIrrational, RotationParams, recurrence_length, rotate
 from .sturmian_gen import Word, generate
 from .order_analysis import (
@@ -101,11 +101,9 @@ def _default_profile(params: RotationParams) -> DistanceProfile:
 def equivalence_ensemble(gamma: QuadIrrational, count: int):
     """Yield (window, mutated) pairs under a fixed pseudorandom plan.
 
-    Phases mix rationals with multiples of gamma; the flip position is
-    drawn strictly between the outermost 1's, where balance and spacing
-    verdicts provably coincide on windows (edge flips only alter boundary
-    runs that spacing analysis cannot see, and genuinely separate the two
-    window-level deciders).
+    Phases mix rationals with multiples of gamma; every window holds at
+    least three 1's, and the flip position is drawn strictly between the
+    outermost ones, so the mutated window keeps both and holds at least two.
     """
     rng = random.Random(EQUIV_SEED)
     # every d1 + 1 consecutive sites hold a 1, so this many hold three or more
@@ -126,13 +124,24 @@ def equivalence_ensemble(gamma: QuadIrrational, count: int):
 
 
 def run_equivalence(gamma: QuadIrrational, count: int) -> str:
-    """Balance and spacing verdicts must agree on every decidable window.
+    """Balance and spacing verdicts must agree on every mutated window.
 
-    Clean windows must pass both checks; mutated ones must fail both when
-    decidable, and every unbalanced mutation must show a factor surplus:
-    more than m + 1 distinct factors at the length m of its balance witness.
+    Clean windows must pass both checks.  A mutated window is cut to its
+    outermost 1's first, where the verdicts are equivalent: a word u that
+    starts and ends with 1 and holds at least two 1's is balanced iff it is
+    most homogeneous (uncut, `00` against `11` can unbalance a homogeneous
+    word).  With p_0 < ... < p_r the 1's of u:
+
+    - Not homogeneous => not balanced.  Take rank-j spacings
+      a = p_(i+j) - p_i and b = p_(k+j) - p_k >= a + 2.  The length-(a+1)
+      factors at p_i and at p_k + 1 hold j + 1 and at most j - 1 ones.
+    - Not balanced => not homogeneous.  Take length-m factors X, Y with k
+      and at least k + 2 ones.  In Y, k + 2 consecutive 1's give a
+      rank-(k+1) spacing <= m - 1, hence a rank-k spacing <= m - 2.  If X
+      has a 1 on each side, the nearest two give a rank-(k+1) spacing
+      >= m + 1.  Otherwise X starts or ends u, so k >= 1, and its k ones
+      with the nearest 1 on the other side give a rank-k spacing >= m.
     """
-    decided = skipped = 0
     for w, mutated in equivalence_ensemble(gamma, count):
         bal = is_balanced(w)
         hom = is_most_homogeneous(w)
@@ -140,22 +149,15 @@ def run_equivalence(gamma: QuadIrrational, count: int) -> str:
             f"clean window failed: balanced={bal.balanced} "
             f"homogeneous={hom.homogeneous} window={w.symbols[:60]}..."
         )
-        mbal = is_balanced(mutated)
-        try:
-            mhom = is_most_homogeneous(mutated)
-        except UndecidableWindowError:
-            skipped += 1
-            continue
+        first, last = mutated.symbols.index("1"), mutated.symbols.rindex("1")
+        cut = Word(mutated.symbols[first : last + 1], mutated.origin + first)
+        mbal = is_balanced(cut)
+        mhom = is_most_homogeneous(cut)
         assert mbal.balanced == mhom.homogeneous, (
             f"deciders disagree on mutation: balanced={mbal.balanced} "
-            f"homogeneous={mhom.homogeneous} word={mutated.symbols}"
+            f"homogeneous={mhom.homogeneous} word={cut.symbols}"
         )
-        if not mbal.balanced:
-            m, s = len(mbal.witness[0]), mutated.symbols
-            factors = {s[i : i + m] for i in range(len(s) - m + 1)}
-            assert len(factors) > m + 1, f"no factor surplus in unbalanced word {s}"
-        decided += 2
-    return f"{count} windows + mutations, {decided} decided verdicts, {skipped} undecidable"
+    return f"{count} windows + mutations, {2 * count} decided verdicts"
 
 
 # ---------------------------------------------------------------------------

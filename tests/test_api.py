@@ -124,14 +124,12 @@ def test_benchmark_traced_names_exist():
 #: every function parameter in the package that has a default; a new knob
 #: fails the test below until it is added here on purpose
 DEFAULTED_PARAMETERS = {
-    "characterization.enumerate_legal.budget",
     "characterization.enumerate_legal_stable.rotation",
     "cli.main.argv",
     "discrepancy.strict_boundary_check.trials",
     "exact_angle._floor_surd.shift",
     "lattice_gas.build_interaction.decay_base",
     "lattice_gas.build_interaction.penalty",
-    "lattice_gas.periodic_energy_density.tail_tol",
     "sturmian_gen.from_convergents.min_q",
     "verify.suite_characterize.profile",
     "verify.suite_energy.profile",

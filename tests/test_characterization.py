@@ -121,9 +121,10 @@ def test_enumerate_monotone_in_enclosing_length():
         assert large <= small
 
 
-def test_enumerate_budget_guard():
+def test_enumerate_budget_guard(monkeypatch):
+    monkeypatch.setattr(characterization, "ENUMERATION_BUDGET", 50)
     with pytest.raises(InconclusiveError) as err:
-        enumerate_legal(4, 64, PROFILE, budget=50)
+        enumerate_legal(4, 64, PROFILE)
     assert err.value.info["length_reached"] == 64
 
 
@@ -139,12 +140,14 @@ def test_enumerate_matches_brute_force_filter(profile):
         assert {w.symbols for w in enumerate_legal(n, big_m, profile)} == brute
 
 
-def test_enumerate_budget_boundary():
+def test_enumerate_budget_boundary(monkeypatch):
     # 2704 nodes is exactly the full search at (4, 64)
+    monkeypatch.setattr(characterization, "ENUMERATION_BUDGET", 2703)
     with pytest.raises(InconclusiveError) as err:
-        enumerate_legal(4, 64, PROFILE, budget=2703)
+        enumerate_legal(4, 64, PROFILE)
     assert err.value.info["length_reached"] == 64
-    assert len(enumerate_legal(4, 64, PROFILE, budget=2704)) == 5
+    monkeypatch.setattr(characterization, "ENUMERATION_BUDGET", 2704)
+    assert len(enumerate_legal(4, 64, PROFILE)) == 5
 
 
 def test_enumerate_long_enclosure_matches_factors():

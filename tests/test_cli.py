@@ -162,6 +162,18 @@ def test_distances_readme_horizon_21(capsys):
     assert "2 5 7 10 13 15 18 20" in out
 
 
+@pytest.mark.parametrize(
+    "gamma, horizon, block",
+    [("87,-3,108,59", "40", [22, 24, 26]), ("78,-5,108,7", "800", [747, 749, 751])],
+)
+def test_distances_adjacent_steps_of_two(capsys, gamma, horizon, block):
+    # around the middle of a three-value block both d - 1 and d + 2 are allowed
+    code, out, _ = run(capsys, "distances", "--gamma", gamma, "--horizon", horizon,
+                       "--format", "json")
+    assert code == 0
+    assert block in json.loads(out)["results"]["blocks"]
+
+
 def test_leading_minus_angle_both_forms(capsys):
     spaced = run(capsys, "distances", "--gamma", "-1,1,1,3", "--psi", "-1,1,1,3",
                  "--horizon", "40", "--format", "json")

@@ -214,7 +214,7 @@ def test_energy_open_matches_reference(gamma):
 
 
 @pytest.mark.parametrize("gamma", (*PANEL, "89698,1,89998,2"))
-def test_periodic_density_matches_reference(gamma):
+def test_periodic_density_matches_reference(gamma, monkeypatch):
     # every cell of period <= 8 (6 at the sparse angle, where d1 = 301);
     # the three tolerances take turns by cell
     params = _panel_params(gamma)
@@ -229,7 +229,8 @@ def test_periodic_density_matches_reference(gamma):
                 tol = tolerances[turn % 3]
                 turn += 1
                 expected = _reference_periodic_density(cell, spec, tol)
-                assert periodic_energy_density(cell, spec, tol) == expected, (
+                monkeypatch.setattr(sturmgas.lattice_gas, "TAIL_TOL", tol)
+                assert periodic_energy_density(cell, spec) == expected, (
                     decay,
                     tol,
                     cell,
@@ -239,8 +240,6 @@ def test_periodic_density_matches_reference(gamma):
 def test_periodic_density_rejects_bad_input():
     with pytest.raises(ValueError):
         periodic_energy_density(Word(""), SPEC)
-    with pytest.raises(ValueError):
-        periodic_energy_density(Word("10"), SPEC, tail_tol=Fraction(0))
 
 
 def test_energies_are_exact_fractions():
@@ -334,9 +333,11 @@ def test_periodic_density_positive_for_all_small_periods():
             assert dens.lower_bound <= dens.value_estimate
 
 
-def test_periodic_density_estimate_tightens():
-    loose = periodic_energy_density(Word("10"), SPEC, tail_tol=Fraction(1, 10**3))
-    tight = periodic_energy_density(Word("10"), SPEC, tail_tol=Fraction(1, 10**9))
+def test_periodic_density_estimate_tightens(monkeypatch):
+    monkeypatch.setattr(sturmgas.lattice_gas, "TAIL_TOL", Fraction(1, 10**3))
+    loose = periodic_energy_density(Word("10"), SPEC)
+    monkeypatch.setattr(sturmgas.lattice_gas, "TAIL_TOL", Fraction(1, 10**9))
+    tight = periodic_energy_density(Word("10"), SPEC)
     assert loose.lower_bound <= tight.lower_bound
     assert tight.value_estimate - tight.lower_bound < Fraction(1, 10**8)
 

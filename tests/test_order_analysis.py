@@ -305,6 +305,25 @@ def test_profile_structure_every_small_horizon(gamma):
         assert set(structure.classification) == set(profile.d)
 
 
+@pytest.mark.parametrize(
+    "gamma",
+    [
+        "87,-3,108,59",  # adjacent difference-2 steps in d
+        "78,-5,108,7",
+        "113,-4,167,34",  # boundary runs in a mutated window
+        "56,1,117,7",  # no factor surplus in an unbalanced mutation
+        "80,-2,130,55",
+        "145,-6,134,55",  # a2 large, gamma near 3/4
+        "-11,5,14,13",  # gamma near 1/2
+        "33,-2,24,42",
+    ],
+)
+def test_order_suite_at_sweep_angles(gamma):
+    # quadratic angles drawn at random: every order check holds at each
+    checks = verify.suite_order(RotationParams(parse_qi(gamma), QI_ZERO))
+    assert [c.name for c in checks if not c.passed] == []
+
+
 @pytest.mark.parametrize("gamma", ["fib", "0,1,2,2", "-1,1,1,3", "1,1,4,3"])
 def test_order_suite_at_panel_angles(gamma, monkeypatch):
     # the Beatty formula d_j = floor(j/(1-gamma)) and the forbidden words
@@ -317,10 +336,29 @@ def test_order_suite_at_panel_angles(gamma, monkeypatch):
 
 
 @pytest.mark.parametrize("gamma", ["998,1,1000,2", "89698,1,89998,2"])
-def test_equivalence_surplus_at_sparse_angles(gamma):
-    # the factor surplus of an unbalanced mutation is counted at the length
-    # of its balance witness, which here lies far above a few dozen sites
+def test_equivalence_runs_at_sparse_angles(gamma):
+    # windows of at least 3(d1 + 1) sites, d1 = 1707 and 301; each mutation,
+    # cut to its outermost 1's, still holds two 1's for the spacing decider
     assert verify.run_equivalence(parse_qi(gamma), 2).startswith("2 windows")
+
+
+@pytest.mark.parametrize("gamma", ["113,-4,167,34", "56,1,117,7", "80,-2,130,55"])
+def test_equivalence_at_sweep_angles(gamma):
+    # 113,-4,167,34: uncut, a mutation is unbalanced only through its
+    # boundary runs (00 against 11) yet homogeneous.  56,1,117,7 and
+    # 80,-2,130,55: the unbalanced mutation 111(01)^k has exactly m + 1
+    # factors at its witness length m, so it shows no factor surplus
+    summary = verify.run_equivalence(parse_qi(gamma), verify.EQUIV_SAMPLES)
+    assert summary.startswith(f"{verify.EQUIV_SAMPLES} windows")
+
+
+def test_balance_equals_homogeneity_between_ones():
+    # the theorem behind run_equivalence, on all 2047 words of length 2..12
+    # that start and end with 1
+    for n in range(2, 13):
+        for middle in itertools.product("01", repeat=n - 2):
+            w = Word("1" + "".join(middle) + "1")
+            assert is_balanced(w).balanced == is_most_homogeneous(w).homogeneous, w.symbols
 
 
 @pytest.mark.parametrize("gamma", ["998,1,1000,2", "89698,1,89998,2"])
