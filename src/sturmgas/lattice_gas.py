@@ -9,10 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import InsufficientProfileError, InternalConsistencyError
 from .order_analysis import DistanceProfile, ensure_horizon
-from .characterization import enumerate_legal
+from .characterization import enumerate_legal, periodic_exclusion
 from .sturmian_gen import Word
 
 #: longest `ground_state_search` window: its cross-check enumerate_legal(L, L)
@@ -54,6 +55,11 @@ class InteractionSpec:
         if j in self.profile.forbidden:
             return self.decay_base**j
         return Fraction(0)
+
+    @cached_property
+    def _density_plans(self) -> dict[tuple[int, int, int], "_DensityPlan"]:
+        """periodic_energy_density's per-period work, by TAIL_TOL and period."""
+        return {}
 
 
 def build_interaction(
@@ -203,6 +209,53 @@ class PeriodicDensity:
 TAIL_TOL = Fraction(1, 10**12)
 
 
+@dataclass(frozen=True)
+class _DensityPlan:
+    """What the 2**p cells of period p share, as integers over one denominator.
+
+    A cell with hits[r] = popcount(x & rot_r(x)) pairs per residue r, k 1's
+    and `runs` penalized vacancy runs has lower bound
+    (sum of hits[r] * weights[r] + runs * run_weight) / denominator and
+    estimate that plus k * tail_weight / denominator.
+    """
+
+    truncation: int
+    denominator: int
+    #: (r, weight) for each residue r mod p with a forbidden j <= T, j = r mod p
+    weights: tuple[tuple[int, int], ...]
+    run_weight: int
+    #: per 1: the coupling tail past T, less the n_p term when it is counted
+    tail_weight: int
+
+
+def _density_plan(spec: InteractionSpec, p: int) -> _DensityPlan:
+    a, b = spec.decay_base.numerator, spec.decay_base.denominator
+    # smallest T with lam**(T+1)/(1-lam) < TAIL_TOL, in integers:
+    # a**(T+1) * tol_den < tol_num * b**T * (b-a)
+    trunc, lhs, rhs = 0, a * TAIL_TOL.denominator, TAIL_TOL.numerator * (b - a)
+    while lhs >= rhs:
+        lhs, rhs, trunc = lhs * a, rhs * b, trunc + 1
+    profile = ensure_horizon(spec.profile, trunc)
+    weights = [0] * p
+    for j in range(1, trunc + 1):
+        if j in profile.forbidden:
+            weights[j % p] += a**j * b ** (trunc - j)
+    # every pair term is over b**top; the penalty and the tail's 1/(b-a) are cleared too
+    top, n_term = trunc, 0
+    if not weights[0]:  # no forbidden multiple of p up to T: count the first, n_p
+        top = n_p = p * periodic_exclusion(p, profile)
+        weights = [w * b ** (top - trunc) for w in weights]
+        weights[0] = n_term = a**n_p
+    pen_num, pen_den = spec.zero_run_penalty.numerator, spec.zero_run_penalty.denominator
+    return _DensityPlan(
+        truncation=trunc,
+        denominator=p * pen_den * (b - a) * b**top,
+        weights=tuple((r, w * pen_den * (b - a)) for r, w in enumerate(weights) if w),
+        run_weight=pen_num * (b - a) * b**top,
+        tail_weight=pen_den * (a ** (trunc + 1) * b ** (top - trunc) - (b - a) * n_term),
+    )
+
+
 def periodic_energy_density(period_word: Word, spec: InteractionSpec) -> PeriodicDensity:
     """Energy per site of the bi-infinite repetition of period_word.
 
@@ -211,39 +264,29 @@ def periodic_energy_density(period_word: Word, spec: InteractionSpec) -> Periodi
     adding the geometric tail bound per particle gives the estimate.  The
     cell is one integer x (bit k is site k); the pairs at distance j depend
     only on j mod p and number popcount(x & rot_j(x)).  With decay_base =
-    a/b the pair sum over forbidden j <= T (read from `profile.forbidden`)
-    is one integer numerator over b**T.
+    a/b, the forbidden j <= T (read from `profile.forbidden`) sum to one
+    integer weight per residue mod p, over b**T.  When no multiple of p is
+    forbidden up to T, each of the cell's k 1's meets its copy at the first
+    forbidden multiple n_p > T, so the lower bound adds k * lam**n_p / p and
+    is positive for every nonzero cell; the estimate stays the truncated sum
+    plus the tail bound.  T, the weights and the common denominator are
+    built once per period and kept on the spec, by (TAIL_TOL, p).
     """
     p = len(period_word)
     if p < 1:
         raise ValueError("need a nonempty period word")
-    a, b = spec.decay_base.numerator, spec.decay_base.denominator
-    # smallest T with lam**(T+1)/(1-lam) < TAIL_TOL, in integers:
-    # a**(T+1) * tol_den < tol_num * b**T * (b-a)
-    trunc, lhs, rhs = 0, a * TAIL_TOL.denominator, TAIL_TOL.numerator * (b - a)
-    while lhs >= rhs:
-        lhs, rhs, trunc = lhs * a, rhs * b, trunc + 1
-    profile = ensure_horizon(spec.profile, trunc)
+    key = (TAIL_TOL.numerator, TAIL_TOL.denominator, p)  # int keys: a Fraction's hash costs a pow
+    plan = spec._density_plans.get(key)
+    if plan is None:
+        plan = spec._density_plans[key] = _density_plan(spec, p)
     x = int(period_word.symbols[::-1], 2)
-    mask = (1 << p) - 1
-
-    def rot(r: int) -> int:  # bit i of rot(r) is site (i + r) mod p
-        r %= p
-        return (x >> r | x << (p - r)) & mask
-
-    hits = [(x & rot(r)).bit_count() for r in range(p)]
+    xx = x | x << p  # bits r .. r + p - 1 of xx are rot_r(x): site (i + r) mod p at bit i
     covered = 0
-    for s in range(min(spec.zero_run_len, p)):  # rot(s) depends on s mod p only
-        covered |= rot(s)
-    runs = p - covered.bit_count()
-    numerator = 0
-    power = 1
-    for j in range(1, trunc + 1):
-        power *= a
-        numerator *= b
-        if j in profile.forbidden:
-            numerator += hits[j % p] * power
-    lower = (Fraction(numerator, b**trunc) + spec.zero_run_penalty * runs) / p
-    tail = Fraction(a ** (trunc + 1), b**trunc * (b - a))
-    estimate = lower + Fraction(hits[0], p) * tail
-    return PeriodicDensity(lower, estimate, trunc)
+    for s in range(min(spec.zero_run_len, p)):  # rot_s depends on s mod p only
+        covered |= xx >> s
+    numerator = (p - (covered & (1 << p) - 1).bit_count()) * plan.run_weight
+    for r, w in plan.weights:
+        numerator += w * (x & xx >> r).bit_count()
+    lower = Fraction(numerator, plan.denominator)
+    estimate = Fraction(numerator + x.bit_count() * plan.tail_weight, plan.denominator)
+    return PeriodicDensity(lower, estimate, plan.truncation)

@@ -8,7 +8,9 @@ below and reports one result per check; reports are fully deterministic
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import cache
 from typing import Optional
@@ -346,7 +348,7 @@ def suite_characterize(
             span = max(2 * i * p, run_len)
             grown = distance_profile(params, max(prof.horizon, span))
             for content in range(1 << p):
-                cell = "".join("1" if (content >> k) & 1 else "0" for k in range(p))
+                cell = format(content, f"0{p}b")[::-1]  # site k is bit k of content
                 # a 1 meets its copy at the forbidden distance i*p within 2*i*p
                 # sites, so only the empty cell needs the d1 + 1 zero run
                 x = cell * (2 * i) if content else "0" * span
@@ -410,7 +412,7 @@ def suite_energy(
         worst = None
         for p in range(1, DENSITY_P_MAX + 1):
             for content in range(1 << p):
-                cell = "".join("1" if (content >> k) & 1 else "0" for k in range(p))
+                cell = format(content, f"0{p}b")[::-1]  # site k is bit k of content
                 dens = periodic_energy_density(Word(cell), spec)
                 if content == 0:
                     assert dens.lower_bound == PENALTY, (
@@ -420,7 +422,11 @@ def suite_energy(
                     assert dens.lower_bound > 0, f"content {cell} at zero density"
                 if worst is None or dens.lower_bound < worst:
                     worst = dens.lower_bound
-        return f"all periodic densities positive; smallest {float(worst):.3e}"
+        # lam**n_p / p falls below a float's range once n_p passes about 1020
+        small = float(worst)
+        if worst < sys.float_info.min:
+            small = Decimal(worst.numerator) / worst.denominator
+        return f"all periodic densities positive; smallest {small:.3e}"
 
     checks.append(_check("periodic_densities_positive", periodic_positive))
 

@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 import sturmgas.lattice_gas
+from sturmgas import verify
 from sturmgas.errors import InsufficientProfileError, InternalConsistencyError
 from sturmgas.exact_angle import GOLDEN, QI_ZERO, RotationParams, parse_qi
 from sturmgas.sturmian_gen import Word, generate
-from sturmgas.order_analysis import distance_profile, ensure_horizon, first_distance
-from sturmgas.characterization import enumerate_legal, is_locally_legal
+from sturmgas.order_analysis import distance_profile, ensure_horizon, first_distance, is_balanced
+from sturmgas.characterization import enumerate_legal, is_locally_legal, periodic_exclusion
 from sturmgas.lattice_gas import (
     SEARCH_CAP,
     EnergyBreakdown,
@@ -90,7 +91,8 @@ def _reference_scan(length, spec):
 
 
 def _reference_periodic_density(period_word, spec, tail_tol):
-    """Brute-force oracle: one Fraction power and one site scan per distance."""
+    """Brute-force oracle: one Fraction power and one site scan per distance,
+    plus lam**n per 1 at the first forbidden multiple n of p when n > trunc."""
     p = len(period_word)
     lam = spec.decay_base
     tail = lam / (1 - lam)
@@ -113,7 +115,16 @@ def _reference_periodic_density(period_word, spec, tail_tol):
         if j in profile.forbidden:
             pair_sum += sum(1 for i in ones if bits[(i + j) % p]) * power
     lower = (pair_sum + spec.zero_run_penalty * runs) / p
-    return PeriodicDensity(lower, lower + Fraction(len(ones), p) * tail, trunc)
+    estimate = lower + Fraction(len(ones), p) * tail
+    if not any(n in profile.forbidden for n in range(p, trunc + 1, p)):
+        # each 1 meets its copy at the first forbidden multiple n of p, past trunc
+        n, reach = p, profile
+        while n not in reach.forbidden:
+            n += p
+            if n > reach.horizon:
+                reach = ensure_horizon(reach, 2 * n)
+        lower += len(ones) * lam**n / p
+    return PeriodicDensity(lower, estimate, trunc)
 
 
 def test_couplings_on_forbidden_distances_only():
@@ -340,6 +351,47 @@ def test_periodic_density_estimate_tightens(monkeypatch):
     tight = periodic_energy_density(Word("10"), SPEC)
     assert loose.lower_bound <= tight.lower_bound
     assert tight.value_estimate - tight.lower_bound < Fraction(1, 10**8)
+
+
+@pytest.mark.parametrize("p, n_p", ((34, 1020), (89, 6853)))
+def test_periodic_density_counts_the_first_forbidden_multiple(p, n_p):
+    # the fib coding's own period-p cell has no pair term up to T = 40 and no
+    # vacancy run: its k 1's meet their copies first at n_p, far past T
+    cell = Word(generate(RotationParams(GOLDEN, QI_ZERO), 0, p - 1).symbols)
+    assert p * periodic_exclusion(p, PROFILE) == n_p
+    dens = periodic_energy_density(cell, SPEC)
+    assert dens.lower_bound == Fraction(cell.symbols.count("1"), p) / 2**n_p > 0
+    assert dens.lower_bound <= dens.value_estimate
+
+
+@pytest.mark.parametrize(
+    "gamma",
+    [
+        "33,-2,24,42",  # n_6 = 108
+        "120,-5,147,19",  # n_3 = 240
+        "-11,5,14,13",  # n_p >= 252 for every p from 2 to 10
+        "145,-6,134,55",  # smallest bound below a float's range
+    ],
+)
+def test_periodic_densities_positive_at_sweep_angles(gamma):
+    checks = {c.name: c for c in verify.suite_energy(RotationParams(parse_qi(gamma), QI_ZERO))}
+    check = checks["periodic_densities_positive"]
+    assert check.passed, check.details
+    assert not check.details.endswith(" 0.000e+00"), check.details
+
+
+@pytest.mark.parametrize("gamma", PANEL)
+def test_periodic_minimizers_are_balanced(gamma):
+    # evidence, not a proven invariant: at every period p <= 12 each nonzero
+    # cell of least lower bound is balanced as a circular word
+    spec = build_interaction(distance_profile(_panel_params(gamma), 200))
+    for p in range(1, 13):
+        cells = [Word(format(content, f"0{p}b")[::-1]) for content in range(1, 1 << p)]
+        bounds = [periodic_energy_density(cell, spec).lower_bound for cell in cells]
+        least = min(bounds)
+        for cell, bound in zip(cells, bounds):
+            if bound == least:
+                assert is_balanced(Word(cell.symbols * 3)), (p, cell)
 
 
 def test_decay_halving_preserves_argmin():
