@@ -7,6 +7,7 @@ rationals throughout; ground-state comparisons never involve a tolerance.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -57,6 +58,11 @@ class InteractionSpec:
         return Fraction(0)
 
     @cached_property
+    def _forbidden_sorted(self) -> list[int]:
+        """profile.forbidden ascending: any window's distances are a prefix."""
+        return sorted(self.profile.forbidden)
+
+    @cached_property
     def _density_plans(self) -> dict[tuple[int, int, int], "_DensityPlan"]:
         """periodic_energy_density's per-period work, by TAIL_TOL and period."""
         return {}
@@ -81,37 +87,68 @@ class EnergyBreakdown:
     violating_runs: tuple[int, ...]
 
 
+def _coupling_sum(lam: Fraction, counts) -> Fraction:
+    """Sum of c * lam**j over (j, c) in counts, j ascending, as one Fraction.
+
+    lam = a/b: one integer numerator over b**(last j), by an ascending Horner
+    pass that raises a and b to each gap between distances, never to a distance.
+    """
+    a, b = lam.numerator, lam.denominator
+    num, a_pow, last = 0, 1, 0
+    for j, c in counts:
+        step = j - last
+        a_pow *= a**step
+        num = num * b**step + c * a_pow
+        last = j
+    return Fraction(num, b**last)
+
+
+#: energy_open walks a distance's pairs bit by bit up to this many hits
+_FEW_HITS = 16
+
+
 def energy_open(w: Word, spec: InteractionSpec) -> EnergyBreakdown:
     """Energy of a free-boundary segment: all in-window terms, no wraparound.
 
     The window is read once as an integer x (bit k is site k).  For each
-    forbidden distance j in `profile.forbidden`, x & (x >> j) has one set
-    bit per violating pair, so its popcount is that distance's pair count.
-    With decay_base = a/b the pair part is one integer numerator,
-    sum of count * a**j * b**(top - j), over b**top.
+    forbidden distance j below the window length (a prefix of the sorted
+    `profile.forbidden` kept on the spec), x & (x >> j) has one set bit per
+    violating pair, so its popcount is that distance's pair count.  With
+    decay_base = a/b the pair part, sum of count * lam**j, is one integer
+    numerator over a power of b, built by one ascending Horner pass over the
+    violated distances.  A distance with few hits gives its pairs from the
+    lowest set bit; a dense one from its binary string.  `violating_pairs`
+    is sorted by (position, partner).
     """
     n = len(w)
     if n - 1 > spec.profile.horizon:
         raise InsufficientProfileError(
             f"profile horizon {spec.profile.horizon} < window span {n - 1}"
         )
-    a, b = spec.decay_base.numerator, spec.decay_base.denominator
+    forbidden = spec._forbidden_sorted
+    distances = forbidden[: bisect_left(forbidden, n)]
     x = int(w.symbols[::-1] or "0", 2)
-    distances = [j for j in spec.profile.forbidden if j < n]
-    top = max(distances, default=0)
-    numerator = 0
+    counts = []
     pairs = []
     for j in distances:
         hits = x & (x >> j)
         if hits:
-            numerator += hits.bit_count() * a**j * b ** (top - j)
-            set_bits = format(hits, "b")[::-1]
-            k = set_bits.find("1")
-            while k != -1:
-                pairs.append((w.origin + k, w.origin + k + j, j))
-                k = set_bits.find("1", k + 1)
+            c = hits.bit_count()
+            counts.append((j, c))
+            if c <= _FEW_HITS:
+                while hits:
+                    low = hits & -hits
+                    k = w.origin + low.bit_length() - 1
+                    pairs.append((k, k + j, j))
+                    hits ^= low
+            else:
+                set_bits = format(hits, "b")[::-1]
+                k = set_bits.find("1")
+                while k != -1:
+                    pairs.append((w.origin + k, w.origin + k + j, j))
+                    k = set_bits.find("1", k + 1)
     pairs.sort()
-    pair_part = Fraction(numerator, b**top)
+    pair_part = _coupling_sum(spec.decay_base, counts)
     run_len = spec.zero_run_len
     runs = []
     target = "0" * run_len
@@ -156,7 +193,8 @@ def ground_state_search(length: int, spec: InteractionSpec) -> GroundStateResult
         )
     legal = enumerate_legal(length, length, spec.profile)
     # bits is the prefix, site 0 most significant: bit j - 1 is j sites before the next
-    pair_mask = sum(1 << (j - 1) for j in spec.profile.forbidden if j < length)
+    forbidden = spec._forbidden_sorted
+    pair_mask = sum(1 << (j - 1) for j in forbidden[: bisect_left(forbidden, length)])
     run_len = spec.zero_run_len
     pruned = [0] * length  # children pruned at each site
     witnesses = set()  # smallest forbidden distance per pair pruning; 0: a run

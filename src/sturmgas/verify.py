@@ -44,6 +44,7 @@ from .characterization import (
     periodic_exclusion,
 )
 from .lattice_gas import (
+    _coupling_sum,
     build_interaction,
     energy_open,
     ground_state_search,
@@ -380,10 +381,8 @@ def suite_energy(
     spec = build_interaction(prof, DECAY_BASE, PENALTY)
 
     def summable():
-        # decay_base = a/b: one integer numerator over b**top, as energy_open sums
-        a, b = DECAY_BASE.numerator, DECAY_BASE.denominator
-        top = max(prof.forbidden, default=0)
-        total = Fraction(sum(a**j * b ** (top - j) for j in prof.forbidden), b**top)
+        # one integer numerator over a power of b, as energy_open sums
+        total = _coupling_sum(DECAY_BASE, ((j, 1) for j in spec._forbidden_sorted))
         bound = DECAY_BASE / (1 - DECAY_BASE)
         assert total <= bound, f"coupling sum {total} above geometric bound"
         return f"sum of couplings {float(total):.6f} <= {float(bound):.6f}"

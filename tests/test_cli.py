@@ -1,5 +1,6 @@
 """CLI surface: invocations, formats, exit codes, report determinism."""
 
+import hashlib
 import json
 import re
 import time
@@ -411,6 +412,22 @@ def test_ground_state_huge_length_builds_no_huge_profile(capsys, monkeypatch):
     code, _, err = run(capsys, "ground-state", "--length", str(10**9))
     assert code == 1 and "refusing" in err
     assert horizons == [SEARCH_CAP]
+
+
+#: sha1 of `verify --suite energy --format json`, pinned so that the exact
+#: coupling sum and energies behind its details cannot drift unnoticed
+ENERGY_REPORT_SHA1 = {
+    "fib": "ab20ca41c6cdf6c7ed3690d95fee87fad119d69b",
+    "998,1,1000,2": "7e67d9690383abc3da2f2b919f523389b4912c56",
+    "89698,1,89998,2": "6630060a65a4efa9d55ce773d7bb6cb6c83d07c4",
+}
+
+
+@pytest.mark.parametrize("gamma", ENERGY_REPORT_SHA1)
+def test_verify_energy_report_is_pinned(capsys, gamma):
+    code, out, _ = run(capsys, "verify", "--suite", "energy", "--format", "json", "--gamma", gamma)
+    assert code == 0
+    assert hashlib.sha1(out.encode()).hexdigest() == ENERGY_REPORT_SHA1[gamma], out
 
 
 def test_verify_characterize_passes(capsys):

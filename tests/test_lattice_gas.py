@@ -1,6 +1,7 @@
 """Couplings, exact energies, certified ground states, periodic densities."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -19,6 +20,7 @@ from sturmgas.lattice_gas import (
     EnergyBreakdown,
     InteractionSpec,
     PeriodicDensity,
+    _coupling_sum,
     build_interaction,
     energy_open,
     ground_state_search,
@@ -222,6 +224,37 @@ def test_energy_open_matches_reference(gamma):
                     penalty,
                     w,
                 )
+
+
+def test_energy_open_dense_words_match_reference(monkeypatch):
+    # dense words put many hits at almost every distance, so their pairs come
+    # from the binary-string walk; a clean window with two added particles
+    # has one or a few hits per distance, so with the bit-by-bit walk cut at
+    # one hit both walks run on the same window
+    profile = distance_profile(FIB, 2000)
+    clean = generate(FIB, 41, 2040)
+    symbols = list(clean.symbols)
+    for k in (symbols.index("0", 700), symbols.index("0", 1300)):
+        symbols[k] = "1"
+    defected = Word("".join(symbols), 41)
+    words = [Word("1" * 200), Word("10" * 100, -7), defected]
+    pairs = _reference_energy_open(defected, build_interaction(profile)).violating_pairs
+    per_distance = Counter(j for _, _, j in pairs)
+    assert 1 in per_distance.values() and max(per_distance.values()) > 1
+    for few in (1, sturmgas.lattice_gas._FEW_HITS):
+        monkeypatch.setattr(sturmgas.lattice_gas, "_FEW_HITS", few)
+        for decay in DECAYS:
+            spec = build_interaction(profile, decay, Fraction(1))
+            for w in words:
+                assert energy_open(w, spec) == _reference_energy_open(w, spec), (few, decay, w)
+
+
+def test_coupling_sum_matches_fraction_powers():
+    rng = random.Random(3)
+    for lam in (*DECAYS, Fraction(3, 7)):
+        for size in (0, 1, 5, 40):
+            counts = [(j, rng.randrange(1, 9)) for j in sorted(rng.sample(range(1, 300), size))]
+            assert _coupling_sum(lam, counts) == sum(c * lam**j for j, c in counts)
 
 
 @pytest.mark.parametrize("gamma", (*PANEL, "89698,1,89998,2"))
