@@ -4,8 +4,9 @@ Draws angles gamma = (a + b*sqrt(d))/c with d square-free in [2, 59],
 b = +-(1..6), c in [1, 200] and a uniform among the integers that put gamma
 in [1/2, 1]; a draw is kept only if gamma lies in (1/2, 1 - 10**-4).  Each
 angle runs `verify --suite all --format json` in-process through
-`sturmgas.cli.main`, and the census counts angles per exit code and per
-failing check.
+`sturmgas.cli.main`, and the census counts angles per exit code and, per
+check, the angles where it failed and where it was inconclusive (hit a
+computation limit).
 
     PYTHONPATH=src python scripts/angle_sweep.py [--count 120] [--seed 7]
 """
@@ -45,16 +46,18 @@ def sample_angles(count: int, seed: int) -> list[str]:
     return angles
 
 
-def run_verify(gamma: str) -> tuple[int, list[str]]:
-    """Exit code and the failing checks, as suite/check, of one verify run."""
+def run_verify(gamma: str) -> tuple[int, list[str], list[str]]:
+    """Exit code, failed checks and inconclusive checks, as suite/check, of one verify run."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main(["verify", "--suite", "all", "--gamma", gamma, "--format", "json"])
     try:
         suites = json.loads(out.getvalue())["results"]["suites"]
     except (ValueError, KeyError):
-        return code, []
-    return code, [f"{s}/{c['name']}" for s, checks in suites.items() for c in checks if not c["passed"]]
+        return code, [], []
+    missed = [(f"{s}/{c['name']}", c.get("inconclusive", False))
+              for s, checks in suites.items() for c in checks if not c["passed"]]
+    return code, [n for n, limit in missed if not limit], [n for n, limit in missed if limit]
 
 
 def main_sweep(argv: list[str] | None = None) -> int:
@@ -64,15 +67,19 @@ def main_sweep(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     exits: Counter[int] = Counter()
     failures: Counter[str] = Counter()
+    limits: Counter[str] = Counter()
     for gamma in sample_angles(args.count, args.seed):
         start = time.perf_counter()
-        code, failed = run_verify(gamma)
+        code, failed, inconclusive = run_verify(gamma)
         exits[code] += 1
         failures.update(failed)
-        print(f"{gamma:>16}  exit {code}  {time.perf_counter() - start:6.2f} s  {' '.join(failed)}")
+        limits.update(inconclusive)
+        marked = failed + [f"{name} (limit)" for name in inconclusive]
+        print(f"{gamma:>16}  exit {code}  {time.perf_counter() - start:6.2f} s  {' '.join(marked)}")
     print("exit codes:", ", ".join(f"{k}: {v}" for k, v in sorted(exits.items())))
-    for name, n in failures.most_common():
-        print(f"{n:5d}  {name}")
+    print("failed  limit  check")
+    for name, _ in (failures + limits).most_common():
+        print(f"{failures[name]:6d}  {limits[name]:5d}  {name}")
     return 0
 
 

@@ -1,8 +1,9 @@
 """Command-line surface: every headline fact reproducible by one subcommand.
 
-Exit codes: 0 success, 1 usage error, 2 computation limit or ambiguity,
-3 invariant failure.  JSON reports are byte-deterministic for a fixed
-configuration and version.
+Exit codes: 0 success, 1 usage error, 2 computation limit (any of
+`errors.LIMIT_ERRORS`), 3 invariant failure.  `verify` exits 3 if any check
+failed, else 2 if any check hit a limit, else 0.  JSON reports are
+byte-deterministic for a fixed configuration and version.
 """
 
 from __future__ import annotations
@@ -18,13 +19,7 @@ from functools import cache
 from typing import Optional
 
 from . import __version__
-from .errors import (
-    HorizonExceededError,
-    InconclusiveError,
-    InsufficientProfileError,
-    InternalConsistencyError,
-    UndecidableWindowError,
-)
+from .errors import LIMIT_ERRORS, InternalConsistencyError, limit_info
 from .exact_angle import RotationParams, parse_qi
 from .sturmian_gen import ApproxRotation, Word, generate, generate_approx
 from .order_analysis import (
@@ -47,15 +42,6 @@ from .verify import SUITES, run_suites
 USAGE_EXIT = 1
 LIMIT_EXIT = 2
 INVARIANT_EXIT = 3
-
-_LIMIT_ERRORS = (
-    HorizonExceededError,
-    InconclusiveError,
-    InsufficientProfileError,
-    MemoryError,  # numpy refuses an oversized window before allocating it
-    UndecidableWindowError,
-)
-_INVARIANT_ERRORS = (InternalConsistencyError,)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -396,13 +382,23 @@ def cmd_verify(args):
         for name, checks in suites.items()
         for c in checks
     ]
-    lines = [
-        f"{'PASS' if c.passed else 'FAIL'}  {name}/{c.name}: {c.details}"
-        for name, checks in suites.items()
-        for c in checks
-    ]
-    lines.append("all checks passed" if all_passed else "FAILURES PRESENT")
+    mark = lambda c: "PASS" if c.passed else "LIMIT" if c.inconclusive else "FAIL"
+    lines = [f"{mark(c)}  {name}/{c.name}: {c.details}"
+             for name, checks in suites.items() for c in checks]
+    lines.append({
+        0: "all checks passed",
+        LIMIT_EXIT: "no check failed, but computation limits were hit",
+        INVARIANT_EXIT: "FAILURES PRESENT",
+    }[_verify_exit(results)])
     return results, rows, "\n".join(lines)
+
+
+def _verify_exit(results: dict) -> int:
+    """3 if any check failed, else 2 if any hit a computation limit, else 0."""
+    missed = [c for checks in results["suites"].values() for c in checks if not c["passed"]]
+    if any(not c.get("inconclusive") for c in missed):
+        return INVARIANT_EXIT
+    return LIMIT_EXIT if missed else 0
 
 
 _COMMANDS = {
@@ -442,12 +438,7 @@ def _render(args, results, rows, text) -> str:
 
 def _limit_report(exc: Exception) -> str:
     """A computation-limit failure and its partial progress, as JSON."""
-    info = exc.info if isinstance(exc, InconclusiveError) else {}
-    info = {
-        key: sorted(w.symbols for w in value) if isinstance(value, set) else value
-        for key, value in info.items()
-    }
-    error = {"type": type(exc).__name__, "message": str(exc), "info": info}
+    error = {"type": type(exc).__name__, "message": str(exc), "info": limit_info(exc)}
     return json.dumps({"error": error}, sort_keys=True, indent=2) + "\n"
 
 
@@ -472,10 +463,10 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else USAGE_EXIT
     try:
         results, rows, text = _COMMANDS[args.command](args)
-    except _INVARIANT_ERRORS as exc:
+    except InternalConsistencyError as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
         return INVARIANT_EXIT
-    except _LIMIT_ERRORS as exc:
+    except LIMIT_ERRORS as exc:  # ahead of ValueError: InsufficientProfileError is one
         print(f"computation limit: {type(exc).__name__}: {exc}", file=sys.stderr)
         if args.fmt == "json":  # a failed write is reported, but exit stays 2
             _emit(args, _limit_report(exc), LIMIT_EXIT)
@@ -483,8 +474,8 @@ def main(argv=None) -> int:
     except (ValueError, argparse.ArgumentTypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    failed = args.command == "verify" and not results["passed"]
-    return _emit(args, _render(args, results, rows, text), INVARIANT_EXIT if failed else 0)
+    code = _verify_exit(results) if args.command == "verify" else 0
+    return _emit(args, _render(args, results, rows, text), code)
 
 
 if __name__ == "__main__":

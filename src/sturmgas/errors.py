@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each is a computation limit (in `LIMIT_ERRORS`: CLI exit 2, an inconclusive
+`verify` check), the invariant failure `InternalConsistencyError` (exit 3, a
+failed check), or else a `ValueError`, a usage error (exit 1).
+"""
 
 
 class SturmgasError(Exception):
@@ -21,15 +26,11 @@ class HorizonExceededError(SturmgasError):
 
 
 class InsufficientProfileError(SturmgasError, ValueError):
-    """The distance profile's horizon is too small for the requested check."""
+    """The profile's horizon is too small for the check: a limit, caught ahead of ValueError."""
 
 
 class InvalidRotationError(SturmgasError, ValueError):
     """The rotation parameters cannot define a valid aperiodic coding."""
-
-
-class UndecidableWindowError(SturmgasError):
-    """The window is too poor (e.g. fewer than two particles) to decide."""
 
 
 class InternalConsistencyError(SturmgasError):
@@ -49,3 +50,14 @@ class InconclusiveError(SturmgasError):
     def __init__(self, message: str, **info):
         super().__init__(message)
         self.info = info
+
+
+#: what a larger budget, horizon or window could settle; MemoryError is
+#: numpy refusing an oversized window before it allocates anything
+LIMIT_ERRORS = (HorizonExceededError, InconclusiveError, InsufficientProfileError, MemoryError)
+
+
+def limit_info(exc: BaseException) -> dict:
+    """The partial progress a limit error carries, sets of words as sorted symbol lists."""
+    info = exc.info if isinstance(exc, InconclusiveError) else {}
+    return {k: sorted(w.symbols for w in v) if isinstance(v, set) else v for k, v in info.items()}

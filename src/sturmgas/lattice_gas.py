@@ -103,10 +103,6 @@ def _coupling_sum(lam: Fraction, counts) -> Fraction:
     return Fraction(num, b**last)
 
 
-#: energy_open walks a distance's pairs bit by bit up to this many hits
-_FEW_HITS = 16
-
-
 def energy_open(w: Word, spec: InteractionSpec) -> EnergyBreakdown:
     """Energy of a free-boundary segment: all in-window terms, no wraparound.
 
@@ -116,9 +112,8 @@ def energy_open(w: Word, spec: InteractionSpec) -> EnergyBreakdown:
     violating pair, so its popcount is that distance's pair count.  With
     decay_base = a/b the pair part, sum of count * lam**j, is one integer
     numerator over a power of b, built by one ascending Horner pass over the
-    violated distances.  A distance with few hits gives its pairs from the
-    lowest set bit; a dense one from its binary string.  `violating_pairs`
-    is sorted by (position, partner).
+    violated distances.  Each distance gives its pairs one lowest set bit
+    at a time.  `violating_pairs` is sorted by (position, partner).
     """
     n = len(w)
     if n - 1 > spec.profile.horizon:
@@ -133,20 +128,12 @@ def energy_open(w: Word, spec: InteractionSpec) -> EnergyBreakdown:
     for j in distances:
         hits = x & (x >> j)
         if hits:
-            c = hits.bit_count()
-            counts.append((j, c))
-            if c <= _FEW_HITS:
-                while hits:
-                    low = hits & -hits
-                    k = w.origin + low.bit_length() - 1
-                    pairs.append((k, k + j, j))
-                    hits ^= low
-            else:
-                set_bits = format(hits, "b")[::-1]
-                k = set_bits.find("1")
-                while k != -1:
-                    pairs.append((w.origin + k, w.origin + k + j, j))
-                    k = set_bits.find("1", k + 1)
+            counts.append((j, hits.bit_count()))
+            while hits:
+                low = hits & -hits
+                k = w.origin + low.bit_length() - 1
+                pairs.append((k, k + j, j))
+                hits ^= low
     pairs.sort()
     pair_part = _coupling_sum(spec.decay_base, counts)
     run_len = spec.zero_run_len

@@ -15,12 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    InconclusiveError,
-    InsufficientProfileError,
-    InternalConsistencyError,
-    UndecidableWindowError,
-)
+from .errors import InconclusiveError, InsufficientProfileError, InternalConsistencyError
 from .exact_angle import QI_ONE, QI_ZERO, QuadIrrational, RotationParams, recurrence_length
 from .sturmian_gen import Word, generate
 
@@ -197,11 +192,10 @@ def is_most_homogeneous(w: Word) -> HomogeneityVerdict:
 
     For each j, the distances between 1's with j-1 intermediate 1's must
     all lie in {m_j, m_j + 1}; a refuting rank is returned with the two
-    extreme pairs (by lattice position).
+    extreme pairs (by lattice position).  A window with fewer than two 1's
+    has no spacing, so it is homogeneous with an empty gap map.
     """
     ones = np.flatnonzero(_bits(w))
-    if len(ones) < 2:
-        raise UndecidableWindowError("need at least two 1's to assess spacings")
     gap_map: dict[int, int] = {}
     for j in range(1, len(ones)):
         diffs = ones[j:] - ones[:-j]

@@ -2,7 +2,9 @@
 
 Each suite runs a list of named checks at the desk-scale module constants
 below and reports one result per check; reports are fully deterministic
-(fixed sampling plans, exact arithmetic, sorted serialization).
+(fixed sampling plans, exact arithmetic, sorted serialization).  A check
+passes, fails, or is inconclusive: it hit a computation limit
+(`errors.LIMIT_ERRORS`) before it could decide.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Optional
 
-from .errors import SturmgasError
+from .errors import LIMIT_ERRORS, SturmgasError, limit_info
 from .exact_angle import QI_ONE, QI_ZERO, QuadIrrational, RotationParams, recurrence_length, rotate
 from .sturmian_gen import Word, generate
 from .order_analysis import (
@@ -77,9 +79,16 @@ class CheckResult:
     name: str
     passed: bool
     details: str
+    #: the partial progress of the limit an inconclusive check hit; None otherwise
+    info: Optional[dict] = None
+
+    @property
+    def inconclusive(self) -> bool:
+        return self.info is not None
 
     def to_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "details": self.details}
+        extra = {"inconclusive": True, "info": self.info} if self.inconclusive else {}
+        return {"name": self.name, "passed": self.passed, "details": self.details, **extra}
 
 
 def _check(name: str, fn) -> CheckResult:
@@ -88,6 +97,8 @@ def _check(name: str, fn) -> CheckResult:
         return CheckResult(name, True, details or "ok")
     except AssertionError as exc:
         return CheckResult(name, False, str(exc) or "assertion failed")
+    except LIMIT_ERRORS as exc:
+        return CheckResult(name, False, f"{type(exc).__name__}: {exc}", limit_info(exc))
     except SturmgasError as exc:
         return CheckResult(name, False, f"{type(exc).__name__}: {exc}")
 
@@ -385,7 +396,10 @@ def suite_energy(
         total = _coupling_sum(DECAY_BASE, ((j, 1) for j in spec._forbidden_sorted))
         bound = DECAY_BASE / (1 - DECAY_BASE)
         assert total <= bound, f"coupling sum {total} above geometric bound"
-        return f"sum of couplings {float(total):.6f} <= {float(bound):.6f}"
+        shown, limit, gap = f"{float(total):.6f}", f"{float(bound):.6f}", bound - total
+        # when six decimals hide the gap, it is shown exactly
+        tail = f", gap {Decimal(gap.numerator) / gap.denominator:.3e}" if shown == limit else ""
+        return f"sum of couplings {shown} <= {limit}{tail}"
 
     checks.append(_check("couplings_summable", summable))
 

@@ -6,6 +6,16 @@ import importlib
 from pathlib import Path
 
 import sturmgas
+from sturmgas.errors import (
+    LIMIT_ERRORS,
+    FieldMismatchError,
+    HorizonExceededError,
+    InconclusiveError,
+    InsufficientProfileError,
+    InternalConsistencyError,
+    InvalidRotationError,
+    SturmgasError,
+)
 
 SRC = Path(sturmgas.__file__).parent
 
@@ -17,6 +27,23 @@ def test_every_export_resolves():
     for name in sturmgas.__all__:
         assert hasattr(sturmgas, name), name
     assert len(set(sturmgas.__all__)) == len(sturmgas.__all__)
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_error_class_has_one_kind():
+    # a new error class must be placed on purpose: a computation limit
+    # (exit 2), the invariant failure (exit 3) or a usage error (exit 1)
+    limits = {c for c in _subclasses(SturmgasError) if c in LIMIT_ERRORS}
+    usage = {c for c in _subclasses(SturmgasError) if c not in limits and issubclass(c, ValueError)}
+    assert limits == {HorizonExceededError, InconclusiveError, InsufficientProfileError}
+    assert usage == {FieldMismatchError, InvalidRotationError}
+    assert set(_subclasses(SturmgasError)) == limits | usage | {InternalConsistencyError}
+    assert not issubclass(InternalConsistencyError, (ValueError, *LIMIT_ERRORS))
 
 
 def test_removed_names_not_exported():

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+import sturmgas.characterization
 import sturmgas.cli
 import sturmgas.verify
 from sturmgas.characterization import ENCLOSING_CAP
@@ -217,6 +218,10 @@ def test_balance_and_homogeneous(capsys):
     assert json.loads(out)["results"]["homogeneous"] is False
 
 
+def test_homogeneous_on_fewer_than_two_particles(capsys):
+    assert run(capsys, "homogeneous", "--word", "0001000") == (0, "homogeneous\n", "")
+
+
 def test_intervals_counts(capsys):
     code, out, _ = run(capsys, "intervals", "--n", "4", "--format", "json")
     assert code == 0
@@ -418,8 +423,8 @@ def test_ground_state_huge_length_builds_no_huge_profile(capsys, monkeypatch):
 #: coupling sum and energies behind its details cannot drift unnoticed
 ENERGY_REPORT_SHA1 = {
     "fib": "ab20ca41c6cdf6c7ed3690d95fee87fad119d69b",
-    "998,1,1000,2": "7e67d9690383abc3da2f2b919f523389b4912c56",
-    "89698,1,89998,2": "6630060a65a4efa9d55ce773d7bb6cb6c83d07c4",
+    "998,1,1000,2": "e2995473d9f0505d5d6b599c8e218ec5f34d6831",
+    "89698,1,89998,2": "d1958019a2f58d3e842d53426454e899de63065d",
 }
 
 
@@ -428,6 +433,39 @@ def test_verify_energy_report_is_pinned(capsys, gamma):
     code, out, _ = run(capsys, "verify", "--suite", "energy", "--format", "json", "--gamma", gamma)
     assert code == 0
     assert hashlib.sha1(out.encode()).hexdigest() == ENERGY_REPORT_SHA1[gamma], out
+
+
+#: gamma ~ 0.516: the legal-word certificate outgrows a 10**5-node budget at
+#: enclosing length 133, after 0.2 s
+BUDGET_ANGLE = "6,-1,8,3"
+
+
+def test_verify_reports_a_limit_as_inconclusive(capsys, monkeypatch):
+    monkeypatch.setattr(sturmgas.characterization, "ENUMERATION_BUDGET", 10**5)
+    argv = ("verify", "--suite", "characterize", f"--gamma={BUDGET_ANGLE}")
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 2
+    checks = {c["name"]: c for c in json.loads(out)["results"]["suites"]["characterize"]}
+    enumeration = checks.pop("legal_enumeration_matches_factors")
+    assert enumeration["passed"] is False and enumeration["inconclusive"] is True
+    assert enumeration["details"] == "InconclusiveError: search budget 100000 exceeded at length 133"
+    assert enumeration["info"]["length_reached"] == 133
+    assert all(set(c) == {"name", "passed", "details"} and c["passed"] for c in checks.values())
+    code, out, _ = run(capsys, *argv)
+    assert code == 2
+    assert out.startswith("LIMIT  characterize/legal_enumeration_matches_factors: InconclusiveError")
+    assert out.endswith("\nno check failed, but computation limits were hit\n")
+
+
+def test_verify_failure_outranks_a_limit(capsys, monkeypatch):
+    # deviation_maxima_stable fails at this angle (ROADMAP item 1)
+    monkeypatch.setattr(sturmgas.characterization, "ENUMERATION_BUDGET", 10**5)
+    code, out, _ = run(capsys, "verify", "--suite", "all", f"--gamma={BUDGET_ANGLE}", "--format", "json")
+    assert code == 3
+    suites = json.loads(out)["results"]["suites"]
+    missed = {c["name"]: c.get("inconclusive", False) for checks in suites.values()
+              for c in checks if not c["passed"]}
+    assert missed == {"legal_enumeration_matches_factors": True, "deviation_maxima_stable": False}
 
 
 def test_verify_characterize_passes(capsys):

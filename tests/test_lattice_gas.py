@@ -226,11 +226,9 @@ def test_energy_open_matches_reference(gamma):
                 )
 
 
-def test_energy_open_dense_words_match_reference(monkeypatch):
-    # dense words put many hits at almost every distance, so their pairs come
-    # from the binary-string walk; a clean window with two added particles
-    # has one or a few hits per distance, so with the bit-by-bit walk cut at
-    # one hit both walks run on the same window
+def test_energy_open_dense_words_match_reference():
+    # dense words put many hits at almost every distance; a clean window with
+    # two added particles has one or a few hits per distance
     profile = distance_profile(FIB, 2000)
     clean = generate(FIB, 41, 2040)
     symbols = list(clean.symbols)
@@ -241,12 +239,10 @@ def test_energy_open_dense_words_match_reference(monkeypatch):
     pairs = _reference_energy_open(defected, build_interaction(profile)).violating_pairs
     per_distance = Counter(j for _, _, j in pairs)
     assert 1 in per_distance.values() and max(per_distance.values()) > 1
-    for few in (1, sturmgas.lattice_gas._FEW_HITS):
-        monkeypatch.setattr(sturmgas.lattice_gas, "_FEW_HITS", few)
-        for decay in DECAYS:
-            spec = build_interaction(profile, decay, Fraction(1))
-            for w in words:
-                assert energy_open(w, spec) == _reference_energy_open(w, spec), (few, decay, w)
+    for decay in DECAYS:
+        spec = build_interaction(profile, decay, Fraction(1))
+        for w in words:
+            assert energy_open(w, spec) == _reference_energy_open(w, spec), (decay, w)
 
 
 def test_coupling_sum_matches_fraction_powers():

@@ -12,7 +12,6 @@ from sturmgas.errors import (
     InconclusiveError,
     InsufficientProfileError,
     InternalConsistencyError,
-    UndecidableWindowError,
 )
 from sturmgas.exact_angle import (
     GOLDEN,
@@ -30,6 +29,7 @@ from sturmgas.order_analysis import (
     SIZE_CAP,
     BalanceVerdict,
     DistanceProfile,
+    HomogeneityVerdict,
     distance_profile,
     ensure_horizon,
     factor_complexity,
@@ -185,9 +185,9 @@ def test_homogeneity_verdicts():
     assert periodic.homogeneous and periodic.gap_map[1] == 2
 
 
-def test_homogeneity_needs_two_particles():
-    with pytest.raises(UndecidableWindowError):
-        is_most_homogeneous(Word("0001000"))
+def test_fewer_than_two_particles_are_vacuously_homogeneous():
+    for symbols in ("", "0", "0001000"):
+        assert is_most_homogeneous(Word(symbols)) == HomogeneityVerdict(True, {})
 
 
 def test_distance_profile_golden():
