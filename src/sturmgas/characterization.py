@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .discrepancy import component_intervals
 from .errors import InconclusiveError, InsufficientProfileError, InternalConsistencyError
 from .exact_angle import RotationParams
@@ -206,22 +208,25 @@ def check_enclosed_ones(w: Word, profile: DistanceProfile) -> FactVerdict:
         raise ValueError(f"word is not locally legal: {verdict.violation}")
     # d values are >= 2 apart, so d_r and d_r + 1 never collide across ranks.
     rank = {x: r for r, dv in enumerate(profile.d, start=1) for x in (dv, dv + 1)}
-    ones = [k for k, ch in enumerate(w.symbols) if ch == "1"]
-    witnesses = []
-    for i, a in enumerate(ones):
-        for k in range(i + 1, len(ones)):
-            dist = ones[k] - a
-            if dist > profile.horizon:
-                break
-            r = rank.get(dist)
-            if r is None:
-                continue  # cannot happen on a legal word; guarded anyway
-            enclosed = k - i - 1
-            if enclosed != r - 1:
-                witnesses.append(
-                    ((w.origin + a, w.origin + ones[k]), dist, r - 1, enclosed)
-                )
-    return FactVerdict(not witnesses, tuple(witnesses))
+    # the rank of every in-window distance (the horizon covers them), 0 for none
+    near = [x for x in rank if 0 < x < len(w)]
+    table = np.zeros(len(w), dtype=np.int64)
+    table[near] = [rank[x] for x in near]
+    ones = (np.frombuffer(w.symbols.encode(), dtype=np.uint8) == ord("1")).nonzero()[0]
+    # the rank-j pairs (i, i + j) enclose j - 1 ones
+    found = []
+    for j in range(1, len(ones)):
+        r = table[ones[j:] - ones[:-j]]
+        i = (r != j).nonzero()[0]
+        i = i[r[i] != 0]
+        if len(i):
+            found += zip(i.tolist(), (i + j).tolist(), r[i].tolist())
+    at = ones.tolist()
+    witnesses = tuple(
+        ((w.origin + at[i], w.origin + at[k]), at[k] - at[i], r - 1, k - i - 1)
+        for i, k, r in sorted(found)  # by first 1, then second, as a pair loop meets them
+    )
+    return FactVerdict(not witnesses, witnesses)
 
 
 def check_follower_ones(w: Word, profile: DistanceProfile) -> FactVerdict:

@@ -187,37 +187,74 @@ class HomogeneityVerdict:
         return self.homogeneous
 
 
+def _rank_floors(ones: np.ndarray) -> tuple[np.ndarray, int]:
+    """Floor of the mean rank-j spacing for j = 1..k-1 of the sorted
+    positions ones, and the first rank whose spacings leave {floor,
+    floor + 1} (0 if none), decided from two moments per rank.
+
+    Integers x all lie in {v, v + 1} iff sum (x - v)(x - v - 1) = 0: each
+    term is a product of two consecutive integers, never negative, and zero
+    just at x = v and x = v + 1.  Take v = floor(s1/n) for the n spacings
+    with s1 = sum x = n*v + r and s2 = sum x^2; the sum is
+    s2 - v*(s1 + r) - r, and when it is 0, v is the smallest spacing.  s1
+    and s2 come from prefix sums of p_i and p_i^2 and one correlation for
+    sum p_i*p_(i+j).  Every intermediate is below 2*k*(span + 1)^2, so the
+    sums run in int64 while k*(span + 1)^2 < 2^62, on Python integers past it.
+    """
+    k = len(ones)
+    p = ones - ones[0]
+    if k * (int(p[-1]) + 1) ** 2 >= 1 << 62:
+        p = p.astype(object)
+    # rank j sums p_(i+j) - p_i over i < n = k - j; c[m - 1] sums the first m
+    c1, c2 = p.cumsum(), (p * p).cumsum()
+    n = np.arange(k - 1, 0, -1)
+    s1 = c1[-1] - c1[:-1] - c1[-2::-1]
+    s2 = c2[-1] - c2[:-1] + c2[-2::-1] - 2 * np.correlate(p, p, "full")[k:]
+    v = s1 // n
+    r = s1 - n * v
+    bad = (s2 - v * (s1 + r) - r).nonzero()[0]
+    return v, int(bad[0]) + 1 if len(bad) else 0
+
+
 def is_most_homogeneous(w: Word) -> HomogeneityVerdict:
     """Check that rank-j particle spacings take at most two adjacent values.
 
     For each j, the distances between 1's with j-1 intermediate 1's must
-    all lie in {m_j, m_j + 1}; a refuting rank is returned with the two
-    extreme pairs (by lattice position).  A window with fewer than two 1's
-    has no spacing, so it is homogeneous with an empty gap map.
+    all lie in {m_j, m_j + 1}; `_rank_floors` decides every rank at once,
+    and a refuting rank is rescanned for its two extreme pairs (by lattice
+    position).  A window with fewer than two 1's has no spacing, so it is
+    homogeneous with an empty gap map.
     """
-    ones = np.flatnonzero(_bits(w))
-    gap_map: dict[int, int] = {}
-    for j in range(1, len(ones)):
-        diffs = ones[j:] - ones[:-j]
-        lo = int(np.argmin(diffs))
-        hi = int(np.argmax(diffs))
-        if diffs[hi] - diffs[lo] >= 2:
-            base = w.origin
-            return HomogeneityVerdict(
-                False,
-                None,
-                (
-                    j,
-                    (base + int(ones[lo]), base + int(ones[lo + j])),
-                    (base + int(ones[hi]), base + int(ones[hi + j])),
-                ),
-            )
-        gap_map[j] = int(diffs[lo])
-    return HomogeneityVerdict(True, gap_map)
+    ones = _bits(w).nonzero()[0]
+    if len(ones) < 2:
+        return HomogeneityVerdict(True, {})
+    floors, j = _rank_floors(ones)
+    if not j:
+        return HomogeneityVerdict(True, dict(enumerate(floors.tolist(), start=1)))
+    diffs = ones[j:] - ones[:-j]
+    pairs = (
+        (w.origin + int(ones[x]), w.origin + int(ones[x + j]))
+        for x in (np.argmin(diffs), np.argmax(diffs))
+    )
+    return HomogeneityVerdict(False, None, (j, *pairs))
 
 
 # ---------------------------------------------------------------------------
 # distance profile
+
+
+def _check_steps(d) -> None:
+    """Raise unless every step of the sequence d is d[0] or d[0] + 1."""
+    if len(d) < 2:
+        return
+    d = np.asarray(d)
+    # a step minus d[0] must be 0 or 1, the integers whose >> 1 is 0
+    bad = ((d[1:] - d[:-1] - d[0]) >> 1).nonzero()[0]
+    if len(bad):
+        prev, nxt = d[bad[0]], d[bad[0] + 1]
+        raise InternalConsistencyError(
+            f"spacing step {nxt - prev} between {prev} and {nxt} is not {d[0]} or {d[0] + 1}"
+        )
 
 
 @dataclass(frozen=True)
@@ -252,20 +289,13 @@ class DistanceProfile:
     @cached_property
     def forbidden_bits(self) -> int:
         """The forbidden set as one integer: bit j is set iff j is forbidden."""
-        bits = ("1" if j in self.forbidden else "0" for j in range(self.horizon, -1, -1))
-        return int("".join(bits), 2)
+        mask = np.zeros(self.horizon + 1, dtype=bool)
+        mask[[j for j in self.forbidden if 0 <= j <= self.horizon]] = True
+        return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
 
     def check_increments(self) -> None:
         """Increments of d must be d1 or d1 + 1; anything else is corrupt."""
-        if len(self.d) < 2:
-            return
-        d1 = self.d1
-        for prev, nxt in zip(self.d, self.d[1:]):
-            if nxt - prev not in (d1, d1 + 1):
-                raise InternalConsistencyError(
-                    f"spacing step {nxt - prev} between {prev} and {nxt} "
-                    f"is not {d1} or {d1 + 1}"
-                )
+        _check_steps(self.d)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -318,17 +348,19 @@ def distance_profile(params: RotationParams, horizon: int) -> DistanceProfile:
     if horizon < 2:
         raise ValueError("horizon must be >= 2")
     base = RotationParams(params.gamma, QI_ZERO)
-    w = generate(base, 1, horizon + 2)
-    ones = w.one_positions()
-    if not ones or ones[0] != 1:
+    # site 0 of the window is position 1, so a 1 at site s is at distance s
+    ones = _bits(generate(base, 1, horizon + 1)).nonzero()[0]
+    if not len(ones) or ones[0] != 0:
         raise InternalConsistencyError("phase-0 coding must carry a 1 at position 1")
-    d = tuple(p - 1 for p in ones[1:] if p - 1 <= horizon)
-    if d and d[0] < 2:
+    d = ones[1:]
+    if len(d) and d[0] < 2:
         raise InternalConsistencyError(f"first distance {d[0]} < 2")
-    forbidden = frozenset(range(1, horizon + 1)).difference(d, (dj + 1 for dj in d))
-    profile = DistanceProfile(d, horizon, forbidden, params=base)
-    profile.check_increments()
-    return profile
+    # forbidden: the distances in [1, horizon] that are no d_j or d_j + 1
+    allowed = np.zeros(horizon + 2, dtype=bool)
+    allowed[0] = allowed[d] = allowed[d + 1] = True
+    forbidden = frozenset((~allowed[:-1]).nonzero()[0].tolist())
+    _check_steps(d)
+    return DistanceProfile(tuple(d.tolist()), horizon, forbidden, params=base)
 
 
 def first_distance(gamma: QuadIrrational) -> int:

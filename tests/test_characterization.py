@@ -12,7 +12,9 @@ from sturmgas.errors import InconclusiveError, InsufficientProfileError, Interna
 from sturmgas.exact_angle import GOLDEN, QI_ZERO, RotationParams, parse_qi, qi_make
 from sturmgas.sturmian_gen import Word, generate
 from sturmgas.order_analysis import DistanceProfile, distance_profile, ensure_horizon, factor_set
+from sturmgas import verify
 from sturmgas.characterization import (
+    FactVerdict,
     check_enclosed_ones,
     check_follower_ones,
     enumerate_legal,
@@ -20,6 +22,7 @@ from sturmgas.characterization import (
     is_locally_legal,
     periodic_exclusion,
 )
+from test_order_analysis import CAPPED_ORACLE_ANGLES, _oracle_windows
 
 FIB = RotationParams(GOLDEN, GOLDEN)
 PROFILE = distance_profile(FIB, 200)
@@ -312,6 +315,99 @@ def test_enclosed_ones_adjacent_pair():
 def test_enclosed_ones_guards_illegal_words():
     with pytest.raises(ValueError):
         check_enclosed_ones(Word("10001"), PROFILE)
+
+
+def _reference_check_enclosed_ones(w, profile):
+    """The pair loop that checked the rank rule before the per-rank vector test."""
+    verdict = is_locally_legal(w, profile)
+    if not verdict.legal:
+        raise ValueError(f"word is not locally legal: {verdict.violation}")
+    rank = {x: r for r, dv in enumerate(profile.d, start=1) for x in (dv, dv + 1)}
+    ones = [k for k, ch in enumerate(w.symbols) if ch == "1"]
+    witnesses = []
+    for i, a in enumerate(ones):
+        for k in range(i + 1, len(ones)):
+            dist = ones[k] - a
+            if dist > profile.horizon:
+                break
+            r = rank.get(dist)
+            if r is None:
+                continue
+            enclosed = k - i - 1
+            if enclosed != r - 1:
+                witnesses.append(((w.origin + a, w.origin + ones[k]), dist, r - 1, enclosed))
+    return FactVerdict(not witnesses, tuple(witnesses))
+
+
+def _rank_swapped(profile):
+    """profile with d_2 and d_3 swapped: the same forbidden distances, hence
+    the same legal words, but pairs at d_2, d_2 + 1, d_3 and d_3 + 1 take the
+    wrong rank, so legal words break the rank rule."""
+    d = list(profile.d)
+    d[1], d[2] = d[2], d[1]
+    return DistanceProfile(tuple(d), profile.horizon, profile.forbidden)
+
+
+def _assert_enclosed_matches(w, profile):
+    outcomes = []
+    for check in (check_enclosed_ones, _reference_check_enclosed_ones):
+        try:
+            outcomes.append(check(w, profile))
+        except ValueError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1], w.symbols
+    return outcomes[0]
+
+
+def test_enclosed_ones_witnesses_under_a_rank_swapped_profile():
+    swapped = _rank_swapped(PROFILE)
+    assert swapped.d[:4] == (2, 7, 5, 10)
+    # 1's at 10, 12, 15: the pair at distance 5 encloses one 1, but the
+    # swapped profile ranks 5 as d_3, which asks for two
+    verdict = _assert_enclosed_matches(Word("101001", 10), swapped)
+    assert verdict == FactVerdict(False, (((10, 15), 5, 2, 1),))
+    # a longer coding window: many witnesses, in the pair loop's order
+    w = generate(FIB, -40, 159)
+    verdict = _assert_enclosed_matches(w, swapped)
+    assert len(verdict.witnesses) > 50
+    assert check_enclosed_ones(w, PROFILE) == FactVerdict(True)
+    # a hand-built profile that neither ranks nor forbids 5 to 8: the pair
+    # at distance 6 is skipped, as the pair loop skips it
+    unranked = DistanceProfile((3,), 8, frozenset({1, 2}))
+    assert _assert_enclosed_matches(Word("1001001"), unranked) == FactVerdict(True)
+
+
+@pytest.mark.parametrize("n", range(15))
+def test_enclosed_ones_matches_pair_loop_on_every_short_word(n):
+    # d1 = 2 and 3, and a profile under which legal words break the rule
+    fib = distance_profile(RotationParams(parse_qi("fib"), QI_ZERO), 40)
+    sqrt2 = distance_profile(RotationParams(parse_qi("0,1,2,2"), QI_ZERO), 40)
+    profiles = (fib, sqrt2, _rank_swapped(fib))
+    for x in range(1 << n):
+        w = Word(format(x, f"0{n}b") if n else "", 3)
+        for profile in profiles:
+            _assert_enclosed_matches(w, profile)
+
+
+@pytest.mark.parametrize("gamma", CAPPED_ORACLE_ANGLES)
+def test_enclosed_ones_matches_pair_loop_on_generated_windows(gamma):
+    # windows of up to 500 1's: the pair loop is quadratic in them
+    windows = [w for w in _oracle_windows(gamma, 19) if w.count("1") <= 500]
+    params = RotationParams(parse_qi(gamma), QI_ZERO)
+    profile = distance_profile(params, max(len(w) for w in windows))
+    for w in windows:
+        _assert_enclosed_matches(w, profile)
+        _assert_enclosed_matches(w, _rank_swapped(profile))
+
+
+@pytest.mark.parametrize("gamma", ["fib", "0,1,2,2", "-1,1,1,3", "1,1,4,3"])
+def test_enclosed_ones_matches_pair_loop_on_the_equivalence_ensemble(gamma):
+    g = parse_qi(gamma)
+    profile = distance_profile(RotationParams(g, QI_ZERO), verify.EQUIV_MAX_LEN)
+    for w, mutated in verify.equivalence_ensemble(g, 20):
+        for x in (w, mutated):
+            _assert_enclosed_matches(x, profile)
+            _assert_enclosed_matches(x, _rank_swapped(profile))
 
 
 def test_follower_ones_on_generated_window():

@@ -435,8 +435,8 @@ def test_verify_energy_report_is_pinned(capsys, gamma):
     assert hashlib.sha1(out.encode()).hexdigest() == ENERGY_REPORT_SHA1[gamma], out
 
 
-#: gamma ~ 0.516: the legal-word certificate outgrows a 10**5-node budget at
-#: enclosing length 133, after 0.2 s
+#: gamma = (6 - sqrt(3))/8 ~ 0.5335: the legal-word certificate outgrows a
+#: 10**5-node budget at enclosing length 133, after 0.2 s
 BUDGET_ANGLE = "6,-1,8,3"
 
 

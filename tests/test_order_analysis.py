@@ -34,11 +34,13 @@ from sturmgas.order_analysis import (
     ensure_horizon,
     factor_complexity,
     factor_set,
+    first_distance,
     is_balanced,
     is_most_homogeneous,
     profile_structure,
 )
 from sturmgas import verify
+from test_sturmian_gen import ORACLE_ANGLES
 
 FIB = RotationParams(GOLDEN, GOLDEN)
 SQRT2 = RotationParams(qi_make(0, 1, 2, 2), QI_ZERO)  # d1 = 3 example
@@ -190,6 +192,117 @@ def test_fewer_than_two_particles_are_vacuously_homogeneous():
         assert is_most_homogeneous(Word(symbols)) == HomogeneityVerdict(True, {})
 
 
+def _reference_is_most_homogeneous(w):
+    """The per-rank scan that decided homogeneity before the moment test."""
+    ones = np.flatnonzero([ch == "1" for ch in w.symbols])
+    gap_map = {}
+    for j in range(1, len(ones)):
+        diffs = ones[j:] - ones[:-j]
+        lo = int(np.argmin(diffs))
+        hi = int(np.argmax(diffs))
+        if diffs[hi] - diffs[lo] >= 2:
+            base = w.origin
+            return HomogeneityVerdict(
+                False,
+                None,
+                (
+                    j,
+                    (base + int(ones[lo]), base + int(ones[lo + j])),
+                    (base + int(ones[hi]), base + int(ones[hi + j])),
+                ),
+            )
+        gap_map[j] = int(diffs[lo])
+    return HomogeneityVerdict(True, gap_map)
+
+
+def _assert_homogeneity_matches(w):
+    got = is_most_homogeneous(w)
+    assert got == _reference_is_most_homogeneous(w), w.symbols
+    assert all(type(v) is int for v in (got.gap_map or {}).values())
+
+
+@pytest.mark.parametrize("n", range(15))
+def test_homogeneity_matches_scan_on_every_short_word(n):
+    for symbols in itertools.product("01", repeat=n):
+        _assert_homogeneity_matches(Word("".join(symbols), -3))
+
+
+def _oracle_windows(gamma, seed):
+    """Clean coding windows at rational phases, each with three one-site flips;
+    every window spans at least 3(d1 + 1) sites, so it holds three 1's."""
+    g = parse_qi(gamma)
+    rng = random.Random(seed)
+    floor = 3 * (first_distance(g) + 1)
+    for length in (2, 5, 31, 200, 777, 2000, 3500):
+        psi = QuadIrrational.from_fraction(Fraction(rng.randrange(997), 997))
+        i0 = rng.randrange(-5000, 5000)
+        w = generate(RotationParams(g, psi), i0, i0 + max(length, floor) - 1)
+        yield w
+        for u in rng.sample(range(len(w)), min(3, len(w))):
+            flipped = "0" if w.symbols[u] == "1" else "1"
+            yield Word(w.symbols[:u] + flipped + w.symbols[u + 1 :], w.origin)
+
+
+#: ORACLE_ANGLES whose 3(d1 + 1)-site windows SIZE_CAP allows
+CAPPED_ORACLE_ANGLES = [
+    g for g in ORACLE_ANGLES if 3 * (first_distance(parse_qi(g)) + 1) <= SIZE_CAP
+]
+
+
+@pytest.mark.parametrize("gamma", CAPPED_ORACLE_ANGLES)
+def test_homogeneity_matches_scan_on_generated_windows(gamma):
+    for w in _oracle_windows(gamma, 17):
+        _assert_homogeneity_matches(w)
+
+
+@pytest.mark.parametrize("gamma", ["fib", "0,1,2,2", "-1,1,1,3", "1,1,4,3"])
+def test_homogeneity_matches_scan_on_the_equivalence_ensemble(gamma):
+    for w, mutated in verify.equivalence_ensemble(parse_qi(gamma), verify.EQUIV_SAMPLES):
+        first, last = mutated.symbols.index("1"), mutated.symbols.rindex("1")
+        cut = Word(mutated.symbols[first : last + 1], mutated.origin + first)
+        for x in (w, mutated, cut):
+            _assert_homogeneity_matches(x)
+
+
+def _reference_rank_floors(positions):
+    """Per rank on Python integers: the smallest spacing, up to the first rank
+    whose spacings spread by 2 or more (0 if none)."""
+    floors = []
+    for j in range(1, len(positions)):
+        diffs = [b - a for a, b in zip(positions, positions[j:])]
+        if max(diffs) - min(diffs) >= 2:
+            return floors, j
+        floors.append(min(diffs))
+    return floors, 0
+
+
+@pytest.mark.parametrize(
+    "positions",
+    [
+        # a mechanical sequence of slope 2^33 + 0.618: every rank homogeneous
+        [i * (2**33 * 1000 + 618) // 1000 for i in range(10)],
+        # rank-1 spacings v, v, v + 1, v + 1 put 2v and 2v + 2 at rank 2
+        [0, 2**34, 2**35, 3 * 2**34 + 1, 2**36 + 2],
+        # one spacing short by 2 at rank 1
+        [0, 2**32, 2**33 - 2, 3 * 2**32],
+        # rank-1 spacings v -+ t with t = 2^32: the test sum is 2t^2 = 2^65,
+        # which wraps to 0 in 64-bit arithmetic
+        [0, 2**32, 2**34],
+        # two particles 2^40 apart
+        [5, 2**40 + 5],
+    ],
+)
+def test_homogeneity_moments_past_int64(positions):
+    # k*(span + 1)^2 >= 2^62, so the sums run on Python integers
+    k, span = len(positions), positions[-1] - positions[0]
+    assert k * (span + 1) ** 2 >= 1 << 62
+    floors, bad = order_analysis._rank_floors(np.array(positions, dtype=np.int64))
+    ref_floors, ref_bad = _reference_rank_floors(positions)
+    assert bad == ref_bad
+    got = floors.tolist()[: bad - 1 if bad else None]
+    assert got == ref_floors and all(type(v) is int for v in got)
+
+
 def test_distance_profile_golden():
     profile = distance_profile(FIB, 21)
     assert profile.d == (2, 5, 7, 10, 13, 15, 18, 20)
@@ -248,6 +361,64 @@ def test_profile_forbidden_bits():
     bits = profile.forbidden_bits
     assert {j for j in range(bits.bit_length()) if bits >> j & 1} == profile.forbidden
     assert profile.forbidden_bits is bits  # derived once per profile
+
+
+def _reference_forbidden_bits(profile):
+    """The bit-by-bit build: bit j set iff j in [0, horizon] is forbidden."""
+    bits = ("1" if j in profile.forbidden else "0" for j in range(profile.horizon, -1, -1))
+    return int("".join(bits), 2)
+
+
+@pytest.mark.parametrize(
+    "profile",
+    [
+        distance_profile(FIB, 10**4),
+        distance_profile(SQRT2, 10**4),
+        DistanceProfile((2, 5), 7, frozenset({1, 4, 7})),
+        DistanceProfile((), 5, frozenset()),
+        # entries outside [0, horizon] carry no bit
+        DistanceProfile((3,), 6, frozenset({-2, 0, 1, 2, 6, 9, 2**70})),
+    ],
+    ids=["fib_1e4", "sqrt2_1e4", "hand_built", "empty", "out_of_range"],
+)
+def test_profile_forbidden_bits_matches_bitwise_build(profile):
+    assert profile.forbidden_bits == _reference_forbidden_bits(profile)
+
+
+def _reference_distance_profile(params, horizon):
+    """The set-difference build of the profile from the phase-0 coding."""
+    base = RotationParams(params.gamma, QI_ZERO)
+    ones = generate(base, 1, horizon + 2).one_positions()
+    d = tuple(p - 1 for p in ones[1:] if p - 1 <= horizon)
+    forbidden = frozenset(range(1, horizon + 1)).difference(d, (dj + 1 for dj in d))
+    return DistanceProfile(d, horizon, forbidden, params=base)
+
+
+def _assert_profile_matches(params, horizon):
+    got, ref = distance_profile(params, horizon), _reference_distance_profile(params, horizon)
+    assert (got, got.params, got.to_json()) == (ref, ref.params, ref.to_json()), horizon
+    assert all(type(v) is int for v in got.d)
+
+
+@pytest.mark.parametrize("gamma", ORACLE_ANGLES)
+def test_distance_profile_matches_set_difference_build(gamma):
+    # the phase is ignored: the profile reads the phase-0 coding
+    params = RotationParams(parse_qi(gamma), QuadIrrational.from_fraction(Fraction(1, 3)))
+    for horizon in range(2, 301):
+        _assert_profile_matches(params, horizon)
+    _assert_profile_matches(params, 10**5)
+
+
+def test_check_increments_names_the_first_bad_step():
+    for d, message in (
+        ((2, 4, 8, 10, 15), "spacing step 4 between 4 and 8 is not 2 or 3"),
+        ((3, 6, 7), "spacing step 1 between 6 and 7 is not 3 or 4"),
+        ((2**70, 2**70 + 9), f"spacing step 9 between {2**70} and {2**70 + 9} is not"),
+    ):
+        with pytest.raises(InternalConsistencyError, match=message):
+            DistanceProfile(d, 10, frozenset()).check_increments()
+    DistanceProfile((5,), 10, frozenset()).check_increments()
+    DistanceProfile((2, 4, 7, 10), 12, frozenset()).check_increments()
 
 
 def test_profile_partition_enforced():
