@@ -71,9 +71,17 @@ ENUMERATION_BUDGET = 10_000_000
 def enumerate_legal(n: int, big_m: int, profile: DistanceProfile) -> set[Word]:
     """Length-n words appearing centrally in some legal word of length big_m.
 
-    Depth-first extension with rejection at the first violation; the
-    search is exact, and visiting more than ENUMERATION_BUDGET nodes raises
-    with the partial result rather than returning it silently.
+    Depth-first extension, 0-branch first, with rejection at the first
+    violation.  Bit k of ``bits`` is site k, and bit s of ``ahead[k]`` is set
+    iff k - s is forbidden (the forbidden set mirrored), so a 1 at site k is
+    admitted iff ``bits & ahead[k] == 0``; a 0 leaves ``bits`` as it is.  The
+    0-child is the next node in preorder, so it is walked in place and only
+    1-children wait on the stack.  Once the central word is fixed, a node
+    whose central word is already found is cut, when it is made or popped:
+    every leaf below it reads that word, so the search stays exact.  Every
+    node visited counts against ENUMERATION_BUDGET, a popped node whether or
+    not it is cut; once past it the search ends its walk and raises with the
+    partial result rather than returning it silently.
     """
     if n < 1 or big_m < n:
         raise ValueError("need 1 <= n <= big_m")
@@ -83,31 +91,38 @@ def enumerate_legal(n: int, big_m: int, profile: DistanceProfile) -> set[Word]:
         )
     # an empty d puts d1 at horizon + 1 >= big_m or beyond: no zero run binds
     d1 = profile.d[0] if profile.d else big_m
-    pair_mask = profile.forbidden_bits >> 1
+    # bit big_m - 1 - j of mirror is set iff j in [1, big_m) is forbidden
+    mirror = int(format(profile.forbidden_bits & ((1 << big_m) - 2), f"0{big_m}b")[::-1], 2)
+    ahead = [mirror >> (big_m - 1 - k) for k in range(big_m)]
     pad = (big_m - n) // 2
-    found: set[Word] = set()
-    visited = 0
-    # Explicit-stack depth-first search, 0-branch first.  A node is
-    # (depth, zero_run, bits): bits reads the word so far as a binary number,
-    # site 0 most significant, so its bit i lies i + 1 sites before the next.
-    stack = [(0, 0, 0)]
-    while stack:
+    # the children of a node at depth last fix the central word
+    last, central = pad + n - 1, (1 << n) - 1
+    found: set[int] = set()  # central words, bit i = site pad + i
+    visited, budget = 0, ENUMERATION_BUDGET
+    stack = [(0, 0, 0)]  # (depth, zero_run, bits)
+    while stack and visited <= budget:
         depth, zero_run, bits = stack.pop()
-        visited += 1
-        if visited > ENUMERATION_BUDGET:
-            raise InconclusiveError(
-                f"search budget {ENUMERATION_BUDGET} exceeded at length {big_m}",
-                partial=set(found),
-                length_reached=big_m,
-            )
-        if depth == big_m:
-            found.add(Word(format(bits, f"0{big_m}b")[pad : pad + n]))
-            continue
-        if not bits & pair_mask:
-            stack.append((depth + 1, 0, bits << 1 | 1))
-        if zero_run < d1:
-            stack.append((depth + 1, zero_run + 1, bits << 1))
-    return found
+        start = depth
+        if depth <= last or bits >> pad & central not in found:  # else found since pushed
+            while depth < big_m:
+                if not bits & ahead[depth] and (
+                    depth != last or (bits | 1 << depth) >> pad & central not in found
+                ):
+                    stack.append((depth + 1, 0, bits | 1 << depth))
+                if zero_run >= d1 or depth == last and bits >> pad & central in found:
+                    break
+                depth, zero_run = depth + 1, zero_run + 1
+            else:
+                found.add(bits >> pad & central)
+        visited += depth - start + 1
+    words = {Word(format(c, f"0{n}b")[::-1]) for c in found}
+    if visited > budget:
+        raise InconclusiveError(
+            f"search budget {budget} exceeded at length {big_m}",
+            partial=words,
+            length_reached=big_m,
+        )
+    return words
 
 
 #: the largest enclosing length enumerate_legal_stable tries before giving up
@@ -237,12 +252,18 @@ def check_follower_ones(w: Word, profile: DistanceProfile) -> FactVerdict:
     holds for legal words, so witnesses point at corrupted input; no
     legality guard is applied, which lets the check localize the damage.
     """
-    witnesses = []
-    length = len(w)
-    for a in (k for k, ch in enumerate(w.symbols) if ch == "1"):
-        for r, dv in enumerate(profile.d, start=1):
-            if a + dv + 1 >= length:
-                break
-            if w.symbols[a + dv] != "1" and w.symbols[a + dv + 1] != "1":
-                witnesses.append((w.origin + a, r, dv))
-    return FactVerdict(not witnesses, tuple(witnesses))
+    is_one = np.frombuffer(w.symbols.encode(), dtype=np.uint8) == ord("1")
+    either = is_one[:-1] | is_one[1:]  # site s or s + 1 holds a 1
+    ones = is_one.nonzero()[0]
+    d = np.asarray(profile.d, dtype=np.int64)
+    # a 1 at a stops at the first rank whose d_r + 1 reaches the end, so rank r
+    # is checked for the 1's before len(w) - 1 - max(d_1, ..., d_r)
+    counts = ones.searchsorted(len(w) - 1 - np.maximum.accumulate(d)).tolist()
+    found = []
+    for r, (dv, k) in enumerate(zip(d.tolist(), counts), start=1):
+        if not k:
+            break
+        a = ones[:k]
+        found += ((w.origin + x, r, dv) for x in a[~either[a + dv]].tolist())
+    witnesses = tuple(sorted(found))  # by position, then rank, as a loop over the 1's meets them
+    return FactVerdict(not witnesses, witnesses)

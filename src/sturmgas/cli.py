@@ -190,10 +190,11 @@ def cmd_generate(args):
 def cmd_distances(args):
     profile = distance_profile(_exact_params(args), capped_size(args.horizon, "profile horizon"))
     structure = profile_structure(profile)
+    allowed, forbidden = sorted(profile.allowed), sorted(profile.forbidden)
     results = {
         "d": list(profile.d),
-        "allowed": sorted(profile.allowed),
-        "forbidden": sorted(profile.forbidden),
+        "allowed": allowed,
+        "forbidden": forbidden,
         "horizon": profile.horizon,
         "blocks": [list(b) for b in structure.blocks],
     }
@@ -203,8 +204,8 @@ def cmd_distances(args):
     ]
     text = (
         f"d: {' '.join(str(x) for x in profile.d)}\n"
-        f"allowed:   {' '.join(str(x) for x in sorted(profile.allowed))}\n"
-        f"forbidden: {' '.join(str(x) for x in sorted(profile.forbidden))}"
+        f"allowed:   {' '.join(str(x) for x in allowed)}\n"
+        f"forbidden: {' '.join(str(x) for x in forbidden)}"
     )
     return results, rows, text
 

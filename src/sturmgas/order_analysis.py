@@ -396,10 +396,17 @@ def profile_structure(profile: DistanceProfile) -> ProfileStructure:
     `distance_profile` builds it on; a hand-built or loaded profile that
     breaks it raises.
     """
-    d = profile.d
+    d, horizon = profile.d, profile.horizon
     profile.check_increments()
-    expected = frozenset(range(1, profile.horizon + 1)).difference(d, (v + 1 for v in d))
-    if profile.forbidden != expected:
+    # the complement as a mask, compared bit for bit; the count catches
+    # forbidden values outside [0, horizon], which forbidden_bits drops
+    dv = np.asarray(d, dtype=np.int64)
+    dv = dv[(0 <= dv) & (dv <= horizon)]
+    mask = np.ones(horizon + 2, dtype=bool)
+    mask[0] = mask[dv] = mask[dv + 1] = False
+    bits = int.from_bytes(np.packbits(mask[:-1], bitorder="little").tobytes(), "little")
+    if profile.forbidden_bits != bits or bits.bit_count() != len(profile.forbidden):
+        expected = frozenset(range(1, horizon + 1)).difference(d, (v + 1 for v in d))
         wrong = sorted(profile.forbidden ^ expected)
         raise InternalConsistencyError(
             f"forbidden differs from the complement of {{d_j, d_j + 1}} at {wrong[:5]}"

@@ -144,13 +144,106 @@ def test_enumerate_matches_brute_force_filter(profile):
 
 
 def test_enumerate_budget_boundary(monkeypatch):
-    # 2704 nodes is exactly the full search at (4, 64)
-    monkeypatch.setattr(characterization, "ENUMERATION_BUDGET", 2703)
+    # 902 nodes is exactly the full search at (4, 64)
+    monkeypatch.setattr(characterization, "ENUMERATION_BUDGET", 901)
     with pytest.raises(InconclusiveError) as err:
         enumerate_legal(4, 64, PROFILE)
     assert err.value.info["length_reached"] == 64
-    monkeypatch.setattr(characterization, "ENUMERATION_BUDGET", 2704)
+    monkeypatch.setattr(characterization, "ENUMERATION_BUDGET", 902)
     assert len(enumerate_legal(4, 64, PROFILE)) == 5
+
+
+def _reference_enumerate_legal(n, big_m, profile):
+    """The search before per-site masks, the in-place 0-branch and the cut."""
+    if n < 1 or big_m < n:
+        raise ValueError("need 1 <= n <= big_m")
+    if profile.horizon < big_m - 1:
+        raise InsufficientProfileError(
+            f"profile horizon {profile.horizon} < {big_m - 1}"
+        )
+    # an empty d puts d1 at horizon + 1 >= big_m or beyond: no zero run binds
+    d1 = profile.d[0] if profile.d else big_m
+    pair_mask = profile.forbidden_bits >> 1
+    pad = (big_m - n) // 2
+    found: set[Word] = set()
+    visited = 0
+    # Explicit-stack depth-first search, 0-branch first.  A node is
+    # (depth, zero_run, bits): bits reads the word so far as a binary number,
+    # site 0 most significant, so its bit i lies i + 1 sites before the next.
+    stack = [(0, 0, 0)]
+    while stack:
+        depth, zero_run, bits = stack.pop()
+        visited += 1
+        if visited > characterization.ENUMERATION_BUDGET:
+            raise InconclusiveError(
+                f"search budget {characterization.ENUMERATION_BUDGET} exceeded at length {big_m}",
+                partial=set(found),
+                length_reached=big_m,
+            )
+        if depth == big_m:
+            found.add(Word(format(bits, f"0{big_m}b")[pad : pad + n]))
+            continue
+        if not bits & pair_mask:
+            stack.append((depth + 1, 0, bits << 1 | 1))
+        if zero_run < d1:
+            stack.append((depth + 1, zero_run + 1, bits << 1))
+    return found
+
+
+#: gamma = (6 - sqrt(3))/8 < 5/9 (the CLI tests' BUDGET_ANGLE): the rules admit a
+#: second rotation, so the legal central words outnumber the factors (ROADMAP item 15)
+RIVAL = RotationParams(parse_qi("6,-1,8,3"), QI_ZERO)
+
+
+def _assert_matches_reference_search(profile, sizes):
+    for n, big_m in sizes:
+        expected = _reference_enumerate_legal(n, big_m, profile)
+        assert enumerate_legal(n, big_m, profile) == expected, (n, big_m)
+
+
+@PANEL_PROFILES
+def test_enumerate_matches_reference_search(profile):
+    # the profiles reach 40, so big_m <= 41; n = big_m and odd big_m - n included
+    _assert_matches_reference_search(profile, [
+        (n, m)
+        for n in (1, 2, 3, 4, 6, 9, 13, 20)
+        for m in sorted({n, n + 1, n + 2, n + 5, 2 * n + 3, 3 * n, 41})
+        if m <= 41
+    ])
+
+
+def test_enumerate_matches_reference_search_with_empty_profile():
+    sizes = [(n, m) for m in range(1, 10) for n in range(1, m + 1)]
+    _assert_matches_reference_search(distance_profile(SPARSE, 8), sizes)
+
+
+def test_enumerate_matches_reference_search_below_five_ninths():
+    _assert_matches_reference_search(distance_profile(RIVAL, 75), [
+        (n, m)
+        for n in (1, 2, 3, 5, 8, 12)
+        for m in sorted({n, n + 1, n + 3, n + 8, n + 17, n + 32, 76})
+        if m <= 76
+    ])
+
+
+def test_enumerate_cut_fits_a_budget_the_reference_outgrows(monkeypatch):
+    profile = distance_profile(RIVAL, 139)
+    full = _reference_enumerate_legal(12, 140, profile)  # about 1.02M nodes
+    assert len(full) == 49
+    monkeypatch.setattr(characterization, "ENUMERATION_BUDGET", 10**5)
+    with pytest.raises(InconclusiveError):
+        _reference_enumerate_legal(12, 140, profile)
+    assert enumerate_legal(12, 140, profile) == full
+    # a budget that runs out leaves a partial result of genuine central words
+    sizes = []
+    for budget in (10, 10**3, 10**4, 5 * 10**4):
+        monkeypatch.setattr(characterization, "ENUMERATION_BUDGET", budget)
+        with pytest.raises(InconclusiveError) as err:
+            enumerate_legal(12, 140, profile)
+        assert err.value.info["length_reached"] == 140
+        assert err.value.info["partial"] <= full
+        sizes.append(len(err.value.info["partial"]))
+    assert sizes[0] == 0 and 0 < sizes[-1] < len(full)
 
 
 def test_enumerate_long_enclosure_matches_factors():
@@ -429,3 +522,41 @@ def test_follower_ones_flip_reported():
 def test_follower_ones_window_end_skipped():
     # rank whose d_r + 1 would look past the end is skipped, not failed
     assert check_follower_ones(Word("10"), PROFILE).holds
+
+
+def _reference_follower_ones(w, profile):
+    """The loop over every 1 and every rank before the per-rank vector step."""
+    witnesses = []
+    length = len(w)
+    for a in (k for k, ch in enumerate(w.symbols) if ch == "1"):
+        for r, dv in enumerate(profile.d, start=1):
+            if a + dv + 1 >= length:
+                break
+            if w.symbols[a + dv] != "1" and w.symbols[a + dv + 1] != "1":
+                witnesses.append((w.origin + a, r, dv))
+    return FactVerdict(not witnesses, tuple(witnesses))
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_follower_ones_matches_loop_on_every_short_word(n):
+    fib = distance_profile(RotationParams(parse_qi("fib"), QI_ZERO), 40)
+    sqrt2 = distance_profile(RotationParams(parse_qi("0,1,2,2"), QI_ZERO), 40)
+    # the swapped ranks make d non-monotone, where the loop's break decides
+    for profile in (fib, sqrt2, _rank_swapped(fib), DistanceProfile((), 8, frozenset())):
+        for x in range(1 << n):
+            w = Word(format(x, f"0{n}b") if n else "", -2)
+            assert check_follower_ones(w, profile) == _reference_follower_ones(w, profile)
+
+
+@pytest.mark.parametrize("gamma", ["fib", "0,1,2,2", "-1,1,1,3", "1,1,4,3"])
+def test_follower_ones_matches_loop_on_generated_windows(gamma):
+    # clean coding windows and one-site flips of them, up to 2000 sites
+    windows = [w for w in _oracle_windows(gamma, 23) if len(w) <= 2000]
+    profile = distance_profile(RotationParams(parse_qi(gamma), QI_ZERO), 2000)
+    flagged = 0
+    for w in windows:
+        for prof in (profile, _rank_swapped(profile)):
+            verdict = check_follower_ones(w, prof)
+            assert verdict == _reference_follower_ones(w, prof), (gamma, len(w))
+            flagged += not verdict.holds
+    assert flagged

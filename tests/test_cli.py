@@ -436,7 +436,7 @@ def test_verify_energy_report_is_pinned(capsys, gamma):
 
 
 #: gamma = (6 - sqrt(3))/8 ~ 0.5335: the legal-word certificate outgrows a
-#: 10**5-node budget at enclosing length 133, after 0.2 s
+#: 10**5-node budget at n = 5 and enclosing length 261, after about 0.05 s
 BUDGET_ANGLE = "6,-1,8,3"
 
 
@@ -448,8 +448,8 @@ def test_verify_reports_a_limit_as_inconclusive(capsys, monkeypatch):
     checks = {c["name"]: c for c in json.loads(out)["results"]["suites"]["characterize"]}
     enumeration = checks.pop("legal_enumeration_matches_factors")
     assert enumeration["passed"] is False and enumeration["inconclusive"] is True
-    assert enumeration["details"] == "InconclusiveError: search budget 100000 exceeded at length 133"
-    assert enumeration["info"]["length_reached"] == 133
+    assert enumeration["details"] == "InconclusiveError: search budget 100000 exceeded at length 261"
+    assert enumeration["info"]["length_reached"] == 261
     assert all(set(c) == {"name", "passed", "details"} and c["passed"] for c in checks.values())
     code, out, _ = run(capsys, *argv)
     assert code == 2

@@ -573,3 +573,16 @@ def test_gap_values_in_generated_windows():
     ones = w.one_positions()
     gaps = {b - a for a, b in zip(ones, ones[1:])}
     assert gaps == {profile.d1, profile.d1 + 1}
+
+
+def test_profile_structure_flags_forbidden_values_outside_the_horizon():
+    # the mask comparison must still see values the bit mask cannot hold
+    profile = distance_profile(FIB, 21)
+    for extra in (0, -4, 22, 40):
+        bad = DistanceProfile(profile.d, 21, profile.forbidden | {extra})
+        with pytest.raises(InternalConsistencyError, match=rf"at \[{extra}\]$"):
+            profile_structure(bad)
+    top = max(profile.forbidden)
+    missing = DistanceProfile(profile.d, 21, profile.forbidden - {top})
+    with pytest.raises(InternalConsistencyError, match=rf"at \[{top}\]$"):
+        profile_structure(missing)
