@@ -13,11 +13,12 @@ from typing import Optional
 
 import numpy as np
 
+from . import order_analysis
 from .discrepancy import component_intervals
 from .errors import InconclusiveError, InsufficientProfileError, InternalConsistencyError
-from .exact_angle import RotationParams
+from .exact_angle import RotationParams, _floor_surd, _sign_surd
 from .order_analysis import DistanceProfile, ensure_horizon, first_distance
-from .sturmian_gen import Word, generate
+from .sturmian_gen import Word
 
 
 @dataclass(frozen=True)
@@ -165,39 +166,39 @@ def enumerate_legal_stable(
     )
 
 
-#: the largest distance periodic_exclusion examines before giving up
-EXCLUSION_CAP = 100_000
-
-
 def periodic_exclusion(p: int, profile: DistanceProfile) -> int:
     """Smallest i >= 1 with i*p a forbidden distance.
 
-    Multiples within the horizon are read off ``profile.forbidden``; past it,
-    n is forbidden iff the attached rotation's phase-0 coding reads 00 at n
-    and n + 1, read in windows of doubling length.  Reaching EXCLUSION_CAP
-    raises instead of claiming no i exists.
+    Multiples within the horizon are read off ``profile.forbidden``; past
+    it, n is forbidden iff the phase-0 coding reads 00 at n and n + 1.  With
+    X = frac(n*gamma), stepped by frac(p*gamma) per multiple, the half-open
+    rule codes n as 0 iff X < gamma and n + 1 as 0 iff X + gamma >= 1 (below
+    1, X + gamma >= gamma; past 1, X + gamma - 1 < gamma; X + gamma = 1 would
+    make (n + 1)*gamma an integer).  Forbidden distances belong to the angle,
+    so only ``profile.params.gamma`` is read, never the phase.  After SIZE_CAP
+    multiples past the horizon it raises, claiming nothing about later ones.
     """
     if p < 1:
         raise ValueError("period must be >= 1")
-    start, reach = profile.horizon + 1, max(profile.horizon, EXCLUSION_CAP)
-    for n in range(p, start, p):
+    for n in range(p, profile.horizon + 1, p):
         if n in profile.forbidden:
             return n // p
-    if start <= reach and profile.params is None:
-        raise InsufficientProfileError(f"no rotation attached to read past horizon {start - 1}")
-    # past the horizon, read the coding in windows [lo, hi] that double in length
-    lo = start
-    while lo <= reach:
-        hi = min(2 * lo + p, reach)
-        coding = generate(profile.params, lo, hi + 1).symbols
-        for n in range(lo + -lo % p, hi + 1, p):
-            if coding[n - lo : n - lo + 2] == "00":
-                return n // p
-        lo = hi + 1
+    if profile.params is None:
+        raise InsufficientProfileError(f"no rotation attached past horizon {profile.horizon}")
+    g = profile.params.gamma
+    ga, gb, c, d = g.a, g.b, g.c, g.d
+    # X = (a + b*sqrt(d))/c at n, the first multiple past the horizon; its step (sa, sb)
+    n = (profile.horizon // p + 1) * p
+    (a, b), (sa, sb) = ((m * ga - _floor_surd(m * ga, m * gb, c, d) * c, m * gb) for m in (n, p))
+    for _ in range(order_analysis.SIZE_CAP):
+        if _sign_surd(a - ga, b - gb, d) < 0 and _sign_surd(a + ga - c, b + gb, d) >= 0:
+            return n // p
+        a, b, n = a + sa, b + sb, n + p
+        if _sign_surd(a - c, b, d) >= 0:
+            a -= c
     raise InconclusiveError(
-        f"no forbidden multiple of {p} found below horizon cap {EXCLUSION_CAP}",
-        period=p,
-        horizon_reached=reach,
+        f"no forbidden multiple of {p} among {order_analysis.SIZE_CAP} past the horizon",
+        period=p, horizon_reached=n - p,
     )
 
 

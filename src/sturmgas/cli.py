@@ -23,7 +23,6 @@ from .errors import LIMIT_ERRORS, InternalConsistencyError, limit_info
 from .exact_angle import RotationParams, parse_qi
 from .sturmian_gen import ApproxRotation, Word, generate, generate_approx
 from .order_analysis import (
-    SIZE_CAP,
     DistanceProfile,
     capped_size,
     distance_profile,
@@ -316,8 +315,8 @@ def cmd_characterize(args):
 
 
 def cmd_exclusion(args):
-    # periodic_exclusion reads the coding past the horizon: a period above the cap has an answer
-    profile = profile_for(_exact_params(args), min(args.period, SIZE_CAP))
+    # the profile only carries the angle: periodic_exclusion walks the multiples past it
+    profile = distance_profile(_exact_params(args), 2)
     i = periodic_exclusion(args.period, profile)
     results = {"period": args.period, "multiple": i, "distance": i * args.period}
     text = f"{i} * {args.period} = {i * args.period} is a forbidden distance"

@@ -46,7 +46,7 @@ class ComplexityReport:
     window_len: int
 
 
-#: the largest window or horizon sized from gamma; a larger size is refused
+#: the largest window or horizon sized from gamma, and the most multiples walked past one
 SIZE_CAP = 1 << 16
 
 

@@ -358,7 +358,7 @@ def suite_characterize(
         for p in range(1, DEFAULT_N_MAX + 1):
             i = periodic_exclusion(p, prof)
             span = max(2 * i * p, run_len)
-            grown = distance_profile(params, max(prof.horizon, span))
+            grown = profile_for(params, max(prof.horizon, span))
             for content in range(1 << p):
                 cell = format(content, f"0{p}b")[::-1]  # site k is bit k of content
                 # a 1 meets its copy at the forbidden distance i*p within 2*i*p

@@ -105,6 +105,16 @@ def test_generate_decides_in_integers():
     assert not floats, floats
 
 
+def test_periodic_exclusion_walks_its_own_route():
+    # verify's periodic_exclusion check reads the closed form through rotate,
+    # so the walk shares neither it nor the coding oracles
+    tree = ast.parse((SRC / "characterization.py").read_text(encoding="utf-8"))
+    fn = next(
+        n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "periodic_exclusion"
+    )
+    assert not {"rotate", "symbol_at", "generate"} & set(_identifiers(fn))
+
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 

@@ -3,13 +3,14 @@
 import functools
 import inspect
 import sys
+import time
 
 import pytest
 
 from sturmgas import characterization
 from sturmgas.discrepancy import component_intervals
 from sturmgas.errors import InconclusiveError, InsufficientProfileError, InternalConsistencyError
-from sturmgas.exact_angle import GOLDEN, QI_ZERO, RotationParams, parse_qi, qi_make
+from sturmgas.exact_angle import GOLDEN, QI_ONE, QI_ZERO, RotationParams, parse_qi, qi_make, rotate
 from sturmgas.sturmian_gen import Word, generate
 from sturmgas.order_analysis import DistanceProfile, distance_profile, ensure_horizon, factor_set
 from sturmgas import verify
@@ -344,15 +345,15 @@ def test_periodic_exclusion_detached_profile_fails_loudly():
 
 
 def test_periodic_exclusion_cap(monkeypatch):
-    monkeypatch.setattr(characterization, "EXCLUSION_CAP", 20)
-    # 7 is allowed in the profile and 14 in the coding; 21 lies past the cap
+    monkeypatch.setattr("sturmgas.order_analysis.SIZE_CAP", 2)
+    # 7 is allowed in the profile, 14 and 21 in the coding; 28 lies past the cap
     with pytest.raises(InconclusiveError) as err:
         periodic_exclusion(7, distance_profile(FIB, 8))
-    assert err.value.info == {"period": 7, "horizon_reached": 20}
-    # a horizon beyond the cap is read in full: 21 is allowed as well
+    assert err.value.info == {"period": 7, "horizon_reached": 21}
+    # the cap counts multiples past the horizon: from 21 the walk reads 28 and 35
     with pytest.raises(InconclusiveError) as err:
         periodic_exclusion(7, distance_profile(FIB, 21))
-    assert err.value.info == {"period": 7, "horizon_reached": 21}
+    assert err.value.info == {"period": 7, "horizon_reached": 35}
 
 
 def _reference_periodic_exclusion(p, profile, grow=ensure_horizon, horizon_cap=100_000):
@@ -382,6 +383,41 @@ def test_periodic_exclusion_matches_doubling_reference(horizon):
         for p in range(1, 201):
             expect = _reference_periodic_exclusion(p, profile, grow)
             assert periodic_exclusion(p, profile) == expect, (gamma, p)
+
+
+def _closed_form_exclusion(p, gamma):
+    """First i with i*p = 1 or frac(i*p*gamma) in (1 - gamma, gamma), the
+    multiples walked in exact QuadIrrational steps."""
+    step, x, i = rotate(QI_ZERO, gamma, p), QI_ZERO, 0
+    while True:
+        i, x = i + 1, (x + step).frac()
+        if i * p == 1 or QI_ONE - gamma < x < gamma:
+            return i
+
+
+PANEL_ANGLES = (GOLDEN, qi_make(0, 1, 2, 2), qi_make(-1, 1, 1, 3), qi_make(1, 1, 4, 3))
+
+
+def test_periodic_exclusion_matches_closed_form_to_period_2000():
+    # at fib, 323 * 329 = 106267 and 1365 * 1597 lie far past the horizon
+    walked = 0.0
+    for gamma in PANEL_ANGLES:
+        profile = distance_profile(RotationParams(gamma, QI_ZERO), 200)
+        for p in range(1, 2001):
+            start = time.perf_counter()
+            i = periodic_exclusion(p, profile)
+            walked += time.perf_counter() - start
+            assert i == _closed_form_exclusion(p, gamma), (gamma, p)
+    assert walked < 2
+
+
+def test_periodic_exclusion_reads_only_the_angle():
+    # forbidden distances belong to gamma: a profile attached at phase gamma
+    # answers as at phase 0 (its own coding would exclude p = 3 at 7, not 3)
+    base = distance_profile(FIB, 8)
+    shifted = DistanceProfile(base.d, base.horizon, base.forbidden, params=FIB)
+    for p in range(1, 60):
+        assert periodic_exclusion(p, shifted) == _closed_form_exclusion(p, GOLDEN), p
 
 
 def test_periodic_repetitions_are_illegal():

@@ -370,14 +370,24 @@ def test_exclusion(capsys):
     assert json.loads(out)["results"]["multiple"] == 2
 
 
+@pytest.mark.parametrize("period, multiple", [(329, 323), (1597, 1365)])
+def test_exclusion_far_past_the_horizon(capsys, period, multiple):
+    # at fib, 323 * 329 = 106267: the walk reads the multiples, not the sites
+    code, out, _ = run(capsys, "exclusion", "--period", str(period), "--format", "json")
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results == {"period": period, "multiple": multiple, "distance": period * multiple}
+
+
 def test_exclusion_cap_reports_progress_quickly(capsys):
     # gamma = 1/2 + 7e-7: the first forbidden even distance lies near 7*10^5,
-    # past the cap, so the search stops there and reports how far it read
+    # past the SIZE_CAP multiples 4, 6, ..., 131074 that the walk reads, so it
+    # stops there and reports the last distance read
     start = time.perf_counter()
     code, out, _ = run(capsys, "exclusion", "--period", "2",
                        "--gamma", "1000000,1,2000000,2", "--format", "json")
     assert code == 2
-    assert json.loads(out)["error"]["info"] == {"period": 2, "horizon_reached": 100000}
+    assert json.loads(out)["error"]["info"] == {"period": 2, "horizon_reached": 131074}
     assert time.perf_counter() - start < 5
 
 
@@ -508,6 +518,21 @@ def test_verify_detached_profile_passes(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", "--suite", "characterize", "--profile", str(path))
     assert code == 0
     assert "all checks passed" in out
+
+
+def test_verify_periodic_words_sized_through_the_cap(tmp_path, capsys, monkeypatch):
+    # the period-7 cells span 2 * 56 = 112 sites: past the cap, that profile
+    # is a limit carrying its size, not an uncapped build
+    monkeypatch.setattr(sturmgas.order_analysis, "SIZE_CAP", 100)
+    path = tmp_path / "profile.json"
+    path.write_text(distance_profile(RotationParams(GOLDEN, GOLDEN), 60).to_json())
+    code, out, _ = run(capsys, "verify", "--suite", "characterize", "--profile", str(path),
+                       "--format", "json")
+    assert code == 2
+    checks = {c["name"]: c for c in json.loads(out)["results"]["suites"]["characterize"]}
+    illegal = checks.pop("periodic_words_illegal")
+    assert illegal["inconclusive"] is True and illegal["info"] == {"needed": 112}
+    assert all(c["passed"] for c in checks.values())
 
 
 def test_verify_profile_reaches_only_profile_suites(tmp_path, capsys, monkeypatch):
