@@ -17,7 +17,7 @@ from . import order_analysis
 from .discrepancy import component_intervals
 from .errors import InconclusiveError, InsufficientProfileError, InternalConsistencyError
 from .exact_angle import RotationParams, _floor_surd, _sign_surd
-from .order_analysis import DistanceProfile, ensure_horizon, first_distance
+from .order_analysis import DistanceProfile, ensure_horizon
 from .sturmian_gen import Word
 
 
@@ -140,14 +140,12 @@ def enumerate_legal_stable(
     centrally in a legal coding window, so they lie in ``enumerate_legal(n, M)``
     for every M, and that set never grows with M: equality at one M holds at
     every larger M.  M runs over n, n + 2, n + 4, n + 8, ... up to
-    ENCLOSING_CAP.  An attached profile first grows to d1 (at most
-    ENCLOSING_CAP); a detached one is not.
+    ENCLOSING_CAP.  An attached profile regrows to M - 1 as M grows; a
+    detached one must already reach it.
     """
     rotation = profile.params if rotation is None else rotation
     if rotation is None:
         raise InsufficientProfileError("no rotation is given or attached to label the arcs")
-    if profile.params is not None:  # the zero-run rule needs d1
-        profile = ensure_horizon(profile, min(first_distance(profile.params.gamma), ENCLOSING_CAP))
     m, step, labels = n, 2, None
     while m <= ENCLOSING_CAP:
         legal = enumerate_legal(n, m, ensure_horizon(profile, m - 1))

@@ -27,14 +27,13 @@ from .order_analysis import (
     capped_size,
     distance_profile,
     factor_complexity,
-    first_distance,
     is_balanced,
     is_most_homogeneous,
     profile_for,
     profile_structure,
 )
 from .discrepancy import component_intervals, frequency, strict_boundary_check
-from .characterization import ENCLOSING_CAP, enumerate_legal_stable, periodic_exclusion
+from .characterization import enumerate_legal_stable, periodic_exclusion
 from .lattice_gas import SEARCH_CAP, build_interaction, energy_open, ground_state_search
 from .verify import SUITES, run_suites
 
@@ -298,9 +297,9 @@ def cmd_discrepancy(args):
 
 
 def cmd_characterize(args):
-    # the certificate grows the profile itself, and refuses any n above the cap
-    profile = profile_for(_exact_params(args), min(args.n, ENCLOSING_CAP))
-    legal, used = enumerate_legal_stable(args.n, profile)
+    # as for exclusion, the profile only carries the angle: the certificate
+    # grows it as it needs, and refuses any n above its cap first
+    legal, used = enumerate_legal_stable(args.n, distance_profile(_exact_params(args), 2))
     words = sorted(w.symbols for w in legal)
     results = {
         "n": args.n,
@@ -325,8 +324,7 @@ def cmd_exclusion(args):
 
 def cmd_energy(args):
     params, w = _exact_params(args), Word(args.word)
-    profile = profile_for(params, max(len(w) - 1, first_distance(params.gamma)))
-    spec = build_interaction(profile, args.decay, args.penalty)
+    spec = build_interaction(profile_for(params, len(w) - 1), args.decay, args.penalty)
     breakdown = energy_open(w, spec)
     results = {
         "word": args.word,
@@ -342,8 +340,7 @@ def cmd_energy(args):
 
 def cmd_ground_state(args):
     # the search refuses a length above its cap: build no profile that long first
-    params = _exact_params(args)
-    profile = profile_for(params, max(min(args.length, SEARCH_CAP), first_distance(params.gamma)))
+    profile = profile_for(_exact_params(args), min(args.length, SEARCH_CAP))
     spec = build_interaction(profile, args.decay, args.penalty)
     result = ground_state_search(args.length, spec)
     words = sorted(w.symbols for w in result.argmin)

@@ -17,12 +17,14 @@ class FieldMismatchError(SturmgasError, ValueError):
 class HorizonExceededError(SturmgasError):
     """A certified-approximation margin failed inside the requested window.
 
-    ``first_bad_index`` is the first lattice index whose margin check failed.
+    ``first_bad_index`` is the first lattice index whose margin check failed;
+    ``info`` carries it as a limit's partial progress.
     """
 
     def __init__(self, message: str, first_bad_index: int):
         super().__init__(message)
         self.first_bad_index = first_bad_index
+        self.info = {"first_bad_index": first_bad_index}
 
 
 class InsufficientProfileError(SturmgasError, ValueError):
@@ -58,6 +60,6 @@ LIMIT_ERRORS = (HorizonExceededError, InconclusiveError, InsufficientProfileErro
 
 
 def limit_info(exc: BaseException) -> dict:
-    """The partial progress a limit error carries, sets of words as sorted symbol lists."""
-    info = exc.info if isinstance(exc, InconclusiveError) else {}
+    """A limit error's ``info`` ({} if none), sets of words as sorted symbol lists."""
+    info = getattr(exc, "info", {})
     return {k: sorted(w.symbols for w in v) if isinstance(v, set) else v for k, v in info.items()}

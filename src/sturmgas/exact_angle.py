@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, total_ordering
+from itertools import islice, pairwise
 from math import gcd, isqrt
 from typing import Union
 
@@ -336,18 +337,23 @@ class RotationParams:
         return (-m, 1 - m)
 
 
+def _expansion(x: QuadIrrational):
+    """Yield (a_k, p_k, q_k) for k = 0, 1, ...: the partial quotients of x and
+    its convergents p_k/q_k in lowest terms, lazily; a rational x ends."""
+    p_prev, q_prev, p, q = 0, 1, 1, 0
+    while True:
+        a = x.floor()
+        p_prev, q_prev, p, q = p, q, a * p + p_prev, a * q + q_prev
+        yield a, p, q
+        x = x - a
+        if x.sign() == 0:
+            return
+        x = x.reciprocal()
+
+
 def continued_fraction(x: QuadIrrational, n_terms: int) -> list[int]:
     """First n_terms of the simple continued fraction of x."""
-    terms = []
-    cur = x
-    for _ in range(n_terms):
-        a = cur.floor()
-        terms.append(a)
-        rem = cur - a
-        if rem.sign() == 0:
-            break
-        cur = rem.reciprocal()
-    return terms
+    return [a for a, _, _ in islice(_expansion(x), n_terms)]
 
 
 def recurrence_length(gamma: QuadIrrational, n: int) -> int:
@@ -356,22 +362,12 @@ def recurrence_length(gamma: QuadIrrational, n: int) -> int:
     denominators q_k <= n < q_{k+1} (Morse and Hedlund 1940), walked until q_{k+1} > n."""
     if n < 1:
         raise ValueError("factor length must be >= 1")
-    q_prev, q, x = 0, 1, gamma
-    while q <= n:
-        x = x.frac().reciprocal()
-        q_prev, q = q, x.floor() * q + q_prev
-    return n + q_prev + q - 1
+    for (_, _, q), (_, _, q_next) in pairwise(_expansion(gamma)):
+        if q_next > n:
+            return n + q + q_next - 1
+    raise ValueError(f"rational {gamma} has no convergent denominator above {n}")
 
 
 def convergents(x: QuadIrrational, n_terms: int) -> list[tuple[int, int]]:
-    """Convergent pairs (p, q) of x, in lowest terms."""
-    terms = continued_fraction(x, n_terms)
-    out = []
-    p_prev, q_prev = 1, 0
-    p, q = terms[0], 1
-    out.append((p, q))
-    for a in terms[1:]:
-        p, p_prev = a * p + p_prev, p
-        q, q_prev = a * q + q_prev, q
-        out.append((p, q))
-    return out
+    """First n_terms convergent pairs (p, q) of x, in lowest terms."""
+    return [(p, q) for _, p, q in islice(_expansion(x), n_terms)]

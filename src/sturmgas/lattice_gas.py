@@ -41,7 +41,7 @@ class InteractionSpec:
         if self.zero_run_penalty <= 0:
             raise ValueError(f"penalty must be positive, got {self.zero_run_penalty}")
         if not self.profile.d:
-            raise ValueError("profile lists no allowed distance")
+            raise InsufficientProfileError("profile lists no allowed distance")
 
     @property
     def zero_run_len(self) -> int:

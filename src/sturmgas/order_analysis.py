@@ -276,14 +276,14 @@ class DistanceProfile:
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
 
-    @property
+    @cached_property
     def allowed(self) -> frozenset[int]:
         return frozenset(range(1, self.horizon + 1)) - self.forbidden
 
     @property
     def d1(self) -> int:
         if not self.d:
-            raise ValueError("empty profile has no first distance")
+            raise InsufficientProfileError("empty profile has no first distance")
         return self.d[0]
 
     @cached_property
@@ -369,8 +369,10 @@ def first_distance(gamma: QuadIrrational) -> int:
 
 
 def profile_for(params: RotationParams, span: int) -> DistanceProfile:
-    """distance_profile at horizon max(2, span); above SIZE_CAP, refused before it is built."""
-    return distance_profile(params, capped_size(max(2, span), "profile horizon"))
+    """distance_profile at horizon max(2, span, d1), so that it holds the zero-run
+    rule; above SIZE_CAP, refused before it is built."""
+    horizon = max(2, span, first_distance(params.gamma))
+    return distance_profile(params, capped_size(horizon, "profile horizon"))
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import pairwise
 from math import gcd, lcm
 
 import numpy as np
 
 from .errors import HorizonExceededError
-from .exact_angle import QuadIrrational, RotationParams, _floor_surd, _sign_surd, convergents, rotate
+from .exact_angle import QuadIrrational, RotationParams, _expansion, _floor_surd, _sign_surd, rotate
 
 #: maps generate's 0/1 bytes to the digits "0"/"1"
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
@@ -138,11 +139,13 @@ class ApproxRotation:
 
     @classmethod
     def from_convergents(cls, gamma: QuadIrrational, min_q: int = 2) -> "ApproxRotation":
-        """Best approximant with q >= min_q, err_bound = 1/(q * q_next)."""
-        convs = convergents(gamma, 64)
-        for (p, q), (_, q_next) in zip(convs, convs[1:]):
-            if q >= min_q and Fraction(1, 2) < Fraction(p, q) < 1:
-                return cls(p, q, Fraction(1, q * q_next))
+        """Best approximant with q >= min_q, err_bound = 1/(q * q_next).  Past
+        the first three, every convergent of a gamma in (1/2, 1) lies strictly
+        inside, so the lazy walk ends; an angle outside is refused first."""
+        if Fraction(1, 2) < gamma < 1:
+            for (_, p, q), (_, _, q_next) in pairwise(_expansion(gamma)):
+                if q >= min_q and Fraction(1, 2) < Fraction(p, q) < 1:
+                    return cls(p, q, Fraction(1, q * q_next))
         raise ValueError(f"no usable convergent with q >= {min_q}")
 
 

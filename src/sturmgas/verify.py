@@ -372,7 +372,7 @@ def suite_characterize(
 
     def spacing_structure():
         span = min(2000, prof.horizon + 1)
-        grown = distance_profile(params, max(prof.horizon, span - 1))
+        grown = distance_profile(params, prof.horizon)
         w = generate(params, 0, span - 1)
         f1 = check_enclosed_ones(w, grown)
         f2 = check_follower_ones(w, grown)
@@ -389,11 +389,12 @@ def suite_energy(
 ) -> list[CheckResult]:
     checks = []
     prof = profile if profile is not None else _default_profile(params)
-    spec = build_interaction(prof, DECAY_BASE, PENALTY)
+    # built inside the checks, so a profile that cannot carry it is a limit of each
+    spec = cache(lambda: build_interaction(prof, DECAY_BASE, PENALTY))
 
     def summable():
         # one integer numerator over a power of b, as energy_open sums
-        total = _coupling_sum(DECAY_BASE, ((j, 1) for j in spec._forbidden_sorted))
+        total = _coupling_sum(DECAY_BASE, ((j, 1) for j in spec()._forbidden_sorted))
         bound = DECAY_BASE / (1 - DECAY_BASE)
         assert total <= bound, f"coupling sum {total} above geometric bound"
         shown, limit, gap = f"{float(total):.6f}", f"{float(bound):.6f}", bound - total
@@ -406,7 +407,7 @@ def suite_energy(
     def ground_states():
         sizes = {}
         for length in range(2, DEFAULT_L_MAX + 1):
-            result = ground_state_search(length, spec)
+            result = ground_state_search(length, spec())
             sizes[length] = len(result.argmin)
         return f"minimum 0 with legal argmin at every length: sizes {sizes}"
 
@@ -414,9 +415,9 @@ def suite_energy(
 
     def factor_energies():
         w = generate(params, 0, min(prof.horizon, 64))
-        assert energy_open(w, spec).total == 0, "generated window has energy"
-        bad = energy_open(Word("11"), spec)
-        assert bad.total == spec.coupling(1) > 0, "adjacent pair not penalized"
+        assert energy_open(w, spec()).total == 0, "generated window has energy"
+        bad = energy_open(Word("11"), spec())
+        assert bad.total == spec().coupling(1) > 0, "adjacent pair not penalized"
         return "generated windows at zero energy, defects positive"
 
     checks.append(_check("factor_energy_zero", factor_energies))
@@ -426,7 +427,7 @@ def suite_energy(
         for p in range(1, DENSITY_P_MAX + 1):
             for content in range(1 << p):
                 cell = format(content, f"0{p}b")[::-1]  # site k is bit k of content
-                dens = periodic_energy_density(Word(cell), spec)
+                dens = periodic_energy_density(Word(cell), spec())
                 if content == 0:
                     assert dens.lower_bound == PENALTY, (
                         f"vacuum density {dens.lower_bound} != penalty"
@@ -446,7 +447,7 @@ def suite_energy(
     def decay_invariance():
         halved = build_interaction(prof, DECAY_BASE / 2, PENALTY)
         for length in (4, 8, 10):
-            a = ground_state_search(length, spec)
+            a = ground_state_search(length, spec())
             b = ground_state_search(length, halved)
             assert a.argmin == b.argmin, f"argmin changed under halved decay at {length}"
         return "argmin invariant under halving the decay base"

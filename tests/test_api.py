@@ -115,6 +115,26 @@ def test_periodic_exclusion_walks_its_own_route():
     assert not {"rotate", "symbol_at", "generate"} & set(_identifiers(fn))
 
 
+def _function(module, name):
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    return next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == name)
+
+
+def test_one_walk_computes_partial_quotients():
+    # the lazy expansion owns every floor and reciprocal of the walk; its
+    # readers take terms from it, and the CLI leaves d1 and the certificate's
+    # cap to profile_for and the certificate
+    for module, name in (
+        ("exact_angle", "recurrence_length"),
+        ("exact_angle", "continued_fraction"),
+        ("exact_angle", "convergents"),
+        ("sturmian_gen", "from_convergents"),
+    ):
+        assert not {"floor", "reciprocal"} & set(_identifiers(_function(module, name))), name
+    cli = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    assert not {"first_distance", "ENCLOSING_CAP"} & set(_identifiers(cli))
+
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 

@@ -12,7 +12,9 @@ from sturmgas.discrepancy import component_intervals
 from sturmgas.errors import InconclusiveError, InsufficientProfileError, InternalConsistencyError
 from sturmgas.exact_angle import GOLDEN, QI_ONE, QI_ZERO, RotationParams, parse_qi, qi_make, rotate
 from sturmgas.sturmian_gen import Word, generate
-from sturmgas.order_analysis import DistanceProfile, distance_profile, ensure_horizon, factor_set
+from sturmgas.order_analysis import (
+    DistanceProfile, distance_profile, ensure_horizon, factor_set, first_distance,
+)
 from sturmgas import verify
 from sturmgas.characterization import (
     FactVerdict,
@@ -309,6 +311,17 @@ def test_certificate_cap_reports_next_length(monkeypatch):
     with pytest.raises(InconclusiveError) as err:
         enumerate_legal_stable(9, PROFILE)
     assert err.value.info["length_reached"] == 9
+
+
+@pytest.mark.parametrize("gamma", ["fib", "0,1,2,2", "-1,1,1,3", "1,1,4,3", "998,1,1000,2",
+                                   "89698,1,89998,2"])
+def test_certificate_needs_no_profile_grown_to_d1(gamma):
+    # an empty d already means no run of d1 + 1 zeros fits in M <= horizon + 1
+    # sites, and every later M regrows the profile to M - 1
+    params = RotationParams(parse_qi(gamma), QI_ZERO)
+    small, grown = distance_profile(params, 2), distance_profile(params, first_distance(params.gamma))
+    for n in range(1, 13):
+        assert enumerate_legal_stable(n, small) == enumerate_legal_stable(n, grown), n
 
 
 def test_certificate_on_detached_profile():

@@ -13,7 +13,7 @@ import sturmgas.verify
 from sturmgas.characterization import ENCLOSING_CAP
 from sturmgas.cli import build_parser, main
 from sturmgas.errors import InconclusiveError
-from sturmgas.exact_angle import GOLDEN, RotationParams
+from sturmgas.exact_angle import GOLDEN, QI_ZERO, RotationParams, parse_qi
 from sturmgas.lattice_gas import SEARCH_CAP
 from sturmgas.order_analysis import DistanceProfile, distance_profile
 from sturmgas.sturmian_gen import Word
@@ -69,7 +69,7 @@ def test_generate_ratio_mode_margin_failure_exit_two(capsys, tmp_path):
     error = json.loads(out)["error"]
     assert error["type"] == "HorizonExceededError"
     assert "boundary margin" in error["message"]
-    assert error["info"] == {}
+    assert error["info"] == {"first_bad_index": 21}
     path = tmp_path / "report.json"
     code, out, _ = run(capsys, *argv, "--format", "json", "--out", str(path))
     assert code == 2 and out == ""
@@ -518,6 +518,24 @@ def test_verify_detached_profile_passes(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", "--suite", "characterize", "--profile", str(path))
     assert code == 0
     assert "all checks passed" in out
+
+
+def test_verify_empty_profile_ends_in_a_report(tmp_path, capsys):
+    # a computed profile below d1 lists no distance: it cannot carry d1 or the
+    # couplings, which is a limit of each check that needs them, not exit 1
+    empty = '{"d": [], "allowed": [], "forbidden": [1, 2, 3, 4, 5], "horizon": 5}'
+    assert distance_profile(RotationParams(parse_qi("998,1,1000,2"), QI_ZERO), 5).to_json() == empty
+    path = tmp_path / "profile.json"
+    path.write_text(empty, encoding="utf-8")
+    codes = {}
+    for suite in ("characterize", "energy", "all"):
+        codes[suite], out, _ = run(capsys, "verify", "--suite", suite, "--profile", str(path),
+                                   "--format", "json")
+        suites = json.loads(out)["results"]["suites"]
+    assert codes == {"characterize": 3, "energy": 2, "all": 3}
+    illegal = next(c for c in suites["characterize"] if c["name"] == "periodic_words_illegal")
+    assert illegal["details"] == "InsufficientProfileError: empty profile has no first distance"
+    assert all(c["inconclusive"] for c in suites["energy"])
 
 
 def test_verify_periodic_words_sized_through_the_cap(tmp_path, capsys, monkeypatch):

@@ -262,3 +262,27 @@ def test_recurrence_length_matches_convergent_formula(gamma):
     for n in [*range(1, 300), 10**12]:
         k = max(i for i, q in enumerate(qs[:-1]) if q <= n)
         assert recurrence_length(g, n) == n + qs[k] + qs[k + 1] - 1, n
+
+
+@pytest.mark.parametrize("gamma", RECURRENCE_ANGLES + ("-1311738121,3166815962,3166815962,2",))
+def test_convergents_obey_their_own_identities(gamma):
+    # independent of the walk that recurrence_length and convergents share:
+    # p_k q_(k-1) - p_(k-1) q_k = (-1)^(k-1), and gamma lies strictly between
+    # consecutive convergents, compared exactly
+    g = parse_qi(gamma)
+    convs = convergents(g, 12)
+    assert len(convs) == 12
+    for k, ((p0, q0), (p1, q1)) in enumerate(zip(convs, convs[1:]), start=1):
+        assert p1 * q0 - p0 * q1 == (-1) ** (k - 1), k
+        lo, hi = sorted((Fraction(p0, q0), Fraction(p1, q1)))
+        assert lo < g < hi, k
+
+
+def test_walk_ends_on_a_rational():
+    x = QuadIrrational.from_fraction(Fraction(13, 21))
+    assert continued_fraction(x, 64) == [0, 1, 1, 1, 1, 1, 2]
+    assert convergents(x, 64)[-1] == (13, 21)
+    assert convergents(GOLDEN, 0) == [] == continued_fraction(GOLDEN, 0)
+    # no denominator passes 21: a rational has no recurrence length there
+    with pytest.raises(ValueError, match="rational"):
+        recurrence_length(x, 100)

@@ -37,6 +37,7 @@ from sturmgas.order_analysis import (
     first_distance,
     is_balanced,
     is_most_homogeneous,
+    profile_for,
     profile_structure,
 )
 from sturmgas import verify
@@ -338,6 +339,25 @@ def test_profile_json_roundtrip():
     assert again == DistanceProfile(profile.d, profile.horizon, profile.forbidden)
     assert again.allowed == profile.allowed
     assert again.params is None
+
+
+def test_profile_allowed_built_once():
+    profile = distance_profile(FIB, 12)
+    before = profile.to_json()
+    assert profile.allowed is profile.allowed
+    assert profile.to_json() == before == (
+        '{"d": [2, 5, 7, 10], "allowed": [2, 3, 5, 6, 7, 8, 10, 11], '
+        '"forbidden": [1, 4, 9, 12], "horizon": 12}'
+    )
+
+
+@pytest.mark.parametrize("gamma, d1", [("fib", 2), ("998,1,1000,2", 1707)])
+def test_profile_for_holds_the_zero_run_rule(gamma, d1):
+    # every question's profile reaches d1, whatever span it asks for
+    params = RotationParams(parse_qi(gamma), QI_ZERO)
+    profile = profile_for(params, 1)
+    assert profile.horizon == max(2, d1) and profile.d1 == d1
+    assert profile_for(params, 3000).horizon == max(3000, d1)
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ from math import gcd
 
 import pytest
 
+from sturmgas import sturmian_gen
 from sturmgas.errors import HorizonExceededError
 from sturmgas.exact_angle import (
     GOLDEN,
@@ -227,6 +228,25 @@ def test_approx_agrees_with_exact():
     assert generate_approx(approx, Fraction(0), 2, 20) == generate(PHASE0, 2, 20)
     fine = ApproxRotation.from_convergents(GOLDEN, 200)
     assert generate_approx(fine, Fraction(0), 2, 150) == generate(PHASE0, 2, 150)
+
+
+def test_from_convergents_walks_as_far_as_asked():
+    # far past the 64 terms of a fixed-length walk (q_64 is about 1.1e13 at fib)
+    approx = ApproxRotation.from_convergents(GOLDEN, 10**30)
+    assert approx.q >= 10**30 and approx.err_bound < Fraction(1, 10**60)
+    # 2/3 has no convergent after 2/3 to bound its error
+    with pytest.raises(ValueError, match="no usable convergent"):
+        ApproxRotation.from_convergents(qi_make(2, 0, 3, 0), 2)
+
+
+def test_from_convergents_refuses_an_angle_outside_before_walking(monkeypatch):
+    def walk(x):
+        raise AssertionError(f"walked the expansion of {x}")
+
+    monkeypatch.setattr(sturmian_gen, "_expansion", walk)
+    for gamma in (qi_make(-1, 1, 1, 2), qi_make(1, 1, 2, 2)):  # sqrt(2) - 1 and (1 + sqrt(2))/2
+        with pytest.raises(ValueError, match="no usable convergent"):
+            ApproxRotation.from_convergents(gamma)
 
 
 def test_approx_with_irrational_phase_equivalent():
